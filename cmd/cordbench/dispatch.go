@@ -504,13 +504,20 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			pool.completed(url, w, time.Since(start))
 		}
 	}
+	// Shards are placed before any loop starts: a loop that found the pool
+	// empty would exit, stranding whatever is later placed or requeued on
+	// its worker.
+	var started []string
 	for _, p := range live {
 		if pool.addWorker(p.url, float64(p.rtt)/float64(time.Millisecond)) {
-			wg.Add(1)
-			go runWorker(p.url)
+			started = append(started, p.url)
 		}
 	}
 	pool.placeShards(shards)
+	for _, url := range started {
+		wg.Add(1)
+		go runWorker(url)
+	}
 
 	// Registry mode: re-resolve membership on a cadence, probing joiners
 	// (and restarted workers, which re-register under their old URL) and

@@ -197,21 +197,43 @@ func TestFleetDispatchEquivalence(t *testing.T) {
 // finish on the survivor with a complete journal.
 func TestFleetDispatchWorkerDeathReshards(t *testing.T) {
 	opts := fleetTestOptions(t)
-	healthy, healthySrv := newMeteredWorker(t)
 
 	// The dying worker answers its plan probe and first shard from a real
 	// server, then fails everything — indistinguishable on the wire from a
-	// worker that crashed after one shard.
+	// worker that crashed after one shard. died closes at its second shard
+	// request.
 	var shardsSeen atomic.Int64
+	died := make(chan struct{})
 	backend := server.New(server.Config{Workers: 2})
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/campaign/shard") && shardsSeen.Add(1) > 1 {
-			http.Error(w, "worker lost", http.StatusInternalServerError)
-			return
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			if n := shardsSeen.Add(1); n > 1 {
+				if n == 2 {
+					close(died)
+				}
+				http.Error(w, "worker lost", http.StatusInternalServerError)
+				return
+			}
 		}
 		backend.ServeHTTP(w, r)
 	}))
 	t.Cleanup(dying.Close)
+
+	// The healthy worker holds every shard until the dying worker has been
+	// asked for its second, so it cannot drain the campaign first and the
+	// death is always exercised.
+	healthySrv := server.New(server.Config{Workers: 2})
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			select {
+			case <-died:
+			case <-time.After(30 * time.Second):
+				t.Error("the dying worker was never asked for a second shard")
+			}
+		}
+		healthySrv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
 
 	jl := openTestJournal(t)
 	dopts := opts

@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"math"
 
 	"cord/internal/clock"
 )
@@ -22,6 +23,13 @@ import (
 // unseen thread's first clock value may be anything), so nothing past logical
 // time zero is released; epochs of a thread that never speaks drain in Flush.
 //
+// The release itself is a per-thread merge. One thread's epochs arrive
+// already sorted by (Time, Index), so each thread buffers its own in a FIFO,
+// and a min-heap over the threads' head epochs (at most one entry per
+// thread) picks the next epoch to release. The watermark is rescanned only
+// when the thread holding it advances, since no other thread's progress can
+// raise the minimum.
+//
 // The concatenation of every slice Push returns, followed by Flush's
 // remainder, is exactly Schedule's output for the same entries: same epochs,
 // same order, same Index values.
@@ -31,7 +39,14 @@ type EpochStream struct {
 	started   []bool
 	unstarted int
 
-	heap []Epoch // min-heap on (Time, Index): the not-yet-releasable epochs
+	watermark uint64 // min of unwrapped once every thread has started, else 0
+	minThread int    // a thread whose unwrapped time is the watermark
+
+	heads   []Epoch      // min-heap on (Time, Index): each queued thread's oldest epoch
+	queued  []bool       // queued[t]: thread t has its oldest epoch in heads
+	rest    []epochQueue // rest[t]: thread t's buffered epochs after its head
+	pending int
+
 	next int     // stream index of the next entry
 	out  []Epoch // reused release buffer handed out by Push
 	err  error   // sticky: a violated stream stays violated
@@ -44,12 +59,14 @@ func NewEpochStream(numThreads int) *EpochStream {
 		unwrapped: make([]uint64, numThreads),
 		started:   make([]bool, numThreads),
 		unstarted: numThreads,
+		queued:    make([]bool, numThreads),
+		rest:      make([]epochQueue, numThreads),
 	}
 }
 
 // Pending returns the number of buffered epochs not yet released — what Flush
 // would currently return.
-func (s *EpochStream) Pending() int { return len(s.heap) }
+func (s *EpochStream) Pending() int { return s.pending }
 
 // Push ingests the next entry and returns the epochs that became final, in
 // global schedule order. The returned slice is valid only until the next Push
@@ -68,8 +85,10 @@ func (s *EpochStream) Push(e Entry) ([]Epoch, error) {
 	}
 	if !s.started[t] {
 		s.started[t] = true
-		s.unstarted--
 		s.unwrapped[t] = uint64(e.Clock)
+		if s.unstarted--; s.unstarted == 0 {
+			s.minThread = t // forces the first watermark scan below
+		}
 	} else {
 		delta := uint16(e.Clock - s.last[t])
 		if int(delta) > clock.Window {
@@ -79,38 +98,55 @@ func (s *EpochStream) Push(e Entry) ([]Epoch, error) {
 		s.unwrapped[t] += uint64(delta)
 	}
 	s.last[t] = e.Clock
-	s.push(Epoch{Time: s.unwrapped[t], Thread: t, Instr: e.Instr, Index: s.next})
+	ep := Epoch{Time: s.unwrapped[t], Thread: t, Instr: e.Instr, Index: s.next}
+	if s.queued[t] {
+		s.rest[t].push(ep)
+	} else {
+		s.queued[t] = true
+		s.heapPush(ep)
+	}
+	s.pending++
 	s.next++
 
-	watermark := uint64(0)
-	if s.unstarted == 0 {
-		watermark = s.unwrapped[0]
-		for _, u := range s.unwrapped[1:] {
-			if u < watermark {
-				watermark = u
+	if s.unstarted == 0 && t == s.minThread {
+		s.watermark, s.minThread = s.unwrapped[0], 0
+		for u, w := range s.unwrapped {
+			if w < s.watermark {
+				s.watermark, s.minThread = w, u
 			}
 		}
 	}
-	s.out = s.out[:0]
-	for len(s.heap) > 0 && s.heap[0].Time <= watermark {
-		s.out = append(s.out, s.pop())
-	}
-	return s.out, nil
+	return s.release(s.watermark), nil
 }
 
 // Flush releases every still-buffered epoch in schedule order; call it at end
 // of stream. The returned slice is valid until the next Push or Flush.
-func (s *EpochStream) Flush() []Epoch {
+func (s *EpochStream) Flush() []Epoch { return s.release(math.MaxUint64) }
+
+// release pops the merged heads, in (Time, Index) order, while they are at
+// or below limit.
+func (s *EpochStream) release(limit uint64) []Epoch {
 	s.out = s.out[:0]
-	for len(s.heap) > 0 {
-		s.out = append(s.out, s.pop())
+	for len(s.heads) > 0 && s.heads[0].Time <= limit {
+		top := s.heads[0]
+		s.out = append(s.out, top)
+		s.pending--
+		if next, ok := s.rest[top.Thread].pop(); ok {
+			s.heads[0] = next
+		} else {
+			s.queued[top.Thread] = false
+			n := len(s.heads) - 1
+			s.heads[0] = s.heads[n]
+			s.heads = s.heads[:n]
+		}
+		s.siftDown()
 	}
 	return s.out
 }
 
 // epochLess orders the heap by (Time, Index) — Schedule's sort key. Index is
-// unique per entry, so the order is total and the heap pop sequence is the
-// exact sorted sequence.
+// unique per entry, so the order is total and the merge is the exact sorted
+// sequence.
 func epochLess(a, b Epoch) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -118,39 +154,71 @@ func epochLess(a, b Epoch) bool {
 	return a.Index < b.Index
 }
 
-func (s *EpochStream) push(e Epoch) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
+func (s *EpochStream) heapPush(e Epoch) {
+	s.heads = append(s.heads, e)
+	h := s.heads
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !epochLess(s.heap[i], s.heap[p]) {
+		if !epochLess(e, h[p]) {
 			break
 		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = e
 }
 
-func (s *EpochStream) pop() Epoch {
-	top := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.heap = s.heap[:n]
+// siftDown restores the heap after its root was replaced.
+func (s *EpochStream) siftDown() {
+	h := s.heads
+	n := len(h)
+	if n == 0 {
+		return
+	}
+	e := h[0]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && epochLess(s.heap[l], s.heap[m]) {
-			m = l
-		}
-		if r < n && epochLess(s.heap[r], s.heap[m]) {
-			m = r
-		}
-		if m == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
-		i = m
+		if c+1 < n && epochLess(h[c+1], h[c]) {
+			c++
+		}
+		if !epochLess(h[c], e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h[i] = e
+}
+
+// epochQueue is one thread's FIFO of buffered epochs. The backing array is
+// reused: it resets when the queue empties and compacts in place when it is
+// full and at least half of it has been consumed, so a thread whose queue
+// never fully drains does not grow it without bound.
+type epochQueue struct {
+	eps  []Epoch
+	head int
+}
+
+func (q *epochQueue) push(e Epoch) {
+	if len(q.eps) == cap(q.eps) && q.head > 0 && q.head >= len(q.eps)/2 {
+		q.eps = q.eps[:copy(q.eps, q.eps[q.head:])]
+		q.head = 0
+	}
+	q.eps = append(q.eps, e)
+}
+
+func (q *epochQueue) pop() (Epoch, bool) {
+	if q.head == len(q.eps) {
+		return Epoch{}, false
+	}
+	e := q.eps[q.head]
+	if q.head++; q.head == len(q.eps) {
+		q.eps, q.head = q.eps[:0], 0
+	}
+	return e, true
 }

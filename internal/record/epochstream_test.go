@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -296,4 +297,50 @@ func TestEpochStreamRejectsOrderViolationTyped(t *testing.T) {
 			t.Fatalf("err = %v, want ErrOrderViolation", err)
 		}
 	})
+}
+
+// skewedLog builds n entries in the shape of a recorded run: each entry goes
+// to a random one of threads threads, whose clock advances by one or catches
+// up to within maxSkew ticks of the leading clock. The clocks wrap their 16
+// bits many times over a long log.
+func skewedLog(n, threads int, maxSkew uint64, seed uint64) []Entry {
+	rng := rand.New(rand.NewPCG(seed, 0x10C5))
+	clocks := make([]uint64, threads)
+	lead := uint64(0)
+	out := make([]Entry, n)
+	for i := range out {
+		t := rng.IntN(threads)
+		out[i] = Entry{Clock: clock.Scalar(clocks[t]), Thread: uint16(t), Instr: 1 + rng.Uint32N(1000)}
+		clocks[t] = max(clocks[t]+1, lead-min(lead, maxSkew))
+		lead = max(lead, clocks[t])
+	}
+	return out
+}
+
+// BenchmarkEpochStreamPush measures EpochStream.Push plus the final Flush
+// per frame on skewed logs (at most 200 ticks between the leading and the
+// trailing thread) at several thread counts.
+func BenchmarkEpochStreamPush(b *testing.B) {
+	const frames = 1 << 16
+	for _, threads := range []int{4, 16, 64} {
+		entries := skewedLog(frames, threads, 200, 1)
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := NewEpochStream(threads)
+				released := 0
+				for _, e := range entries {
+					rel, err := s.Push(e)
+					if err != nil {
+						b.Fatal(err)
+					}
+					released += len(rel)
+				}
+				if released+len(s.Flush()) != frames {
+					b.Fatal("epochs lost")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+		})
+	}
 }

@@ -207,21 +207,18 @@ type onlineOutcome struct {
 // engine runs at all — the session only counts epochs — so a duty sweep's
 // zero point measures pure ingest.
 type onlineSession struct {
-	duty      int
-	detector  string
-	workers   int
-	maxFrames uint64
+	duty     int
+	detector string
 
-	es       *record.EpochStream
-	released uint64 // epochs released from the stream (duty=0 accounting)
+	es          *record.EpochStream
+	released    uint64         // epochs released from the stream (duty=0 accounting)
+	unpublished []record.Epoch // released epochs not yet appended to feed
 
 	gate   *dutyGate
 	feed   *sim.ReplayFeed
 	cancel chan struct{}
 	done   chan onlineOutcome
 
-	batch   []record.Entry
-	base    uint64 // absolute frame index of batch[0]
 	stopped bool
 	outcome *onlineOutcome
 }
@@ -230,11 +227,10 @@ type onlineSession struct {
 // engine against the incremental feed. The engine configuration mirrors
 // RunReplay: same seed, no jitter (replay follows the log, not the
 // scheduler), the recorded run's injection identity re-applied.
-func startOnline(opts streamOptions, workers int) *onlineSession {
+func startOnline(opts streamOptions) *onlineSession {
 	o := &onlineSession{
 		duty:     opts.duty,
 		detector: opts.detector,
-		workers:  workers,
 		es:       record.NewEpochStream(opts.req.Threads),
 	}
 	if o.detector == "" {
@@ -267,110 +263,34 @@ func startOnline(opts streamOptions, workers int) *onlineSession {
 	return o
 }
 
-// collect is the decoder's emit target in online mode: a quota check
-// matching sequential ingest byte for byte, then buffering into the chunk
-// batch the worker group folds. o.base tracks the session's absolute frame
-// index so batched errors name the same entry sequential ingest would.
-func (o *onlineSession) collect(e record.Entry) error {
-	if o.base+uint64(len(o.batch)) >= o.maxFrames {
-		return fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, o.maxFrames)
-	}
-	o.batch = append(o.batch, e)
-	return nil
-}
-
-// ingestBatch folds the chunk batch into the session state: the per-thread
-// shard folds fan out across the bounded worker group (shards are
-// write-independent by construction, PROTOCOL.md §3), then the main
-// goroutine merges at the chunk barrier — content hash, frame counter, and
-// the epoch release into the replay feed, all in stream order so the merged
-// state is deterministic. Returns the error the sequential path would have
-// produced for the same stream, with ing.frames left at the same count.
-func (o *onlineSession) ingestBatch(ing *streamIngest) error {
-	batch := o.batch
-	if len(batch) == 0 {
-		return nil
-	}
-	idx, err := o.foldShards(ing, batch)
-	if err != nil {
-		ing.frames = idx // metrics parity: entries before the failure folded
+// ingest is the decoder's emit target in online mode: the plain-ingest fold
+// (quota, shard validation, hash, frame counter) followed by the epoch
+// release. Released epochs are buffered until publish hands the chunk's
+// worth to the replay feed in one Append.
+func (o *onlineSession) ingest(ing *streamIngest, e record.Entry) error {
+	if err := ing.ingest(e); err != nil {
 		return err
 	}
-	for _, e := range batch {
-		ing.hashEntry(e)
+	rel, err := o.es.Push(e)
+	if err != nil {
+		// Unreachable: the shard fold enforces the same invariants the
+		// epoch stream checks. Surface it as internal damage, not 422.
+		return fmt.Errorf("epoch stream disagrees with shard fold: %w", err)
 	}
-	ing.frames += uint64(len(batch))
-	for _, e := range batch {
-		rel, perr := o.es.Push(e)
-		if perr != nil {
-			// Unreachable: the shard fold enforces the same invariants the
-			// epoch stream checks. Surface it as internal damage, not 422.
-			return fmt.Errorf("epoch stream disagrees with shard fold: %w", perr)
-		}
-		o.released += uint64(len(rel))
-		if o.feed != nil {
-			o.feed.Append(rel...)
-		}
+	o.released += uint64(len(rel))
+	if o.feed != nil {
+		o.unpublished = append(o.unpublished, rel...)
 	}
-	o.batch = batch[:0]
-	o.base = ing.frames
 	return nil
 }
 
-// foldShards runs the per-thread shard folds for one batch, in parallel when
-// the batch is big enough to pay for the fan-out. Worker w owns every thread
-// t with t%workers == w, so no two workers touch one shard; each worker
-// reports the batch index of its first violation and the merge takes the
-// smallest — exactly the entry sequential ingest would have rejected.
-func (o *onlineSession) foldShards(ing *streamIngest, batch []record.Entry) (uint64, error) {
-	w := o.workers
-	if w > len(ing.shards) {
-		w = len(ing.shards)
+// publish hands the epochs released since the last call to the replay
+// engine; the stream handler calls it once per chunk.
+func (o *onlineSession) publish() {
+	if o.feed != nil {
+		o.feed.Append(o.unpublished...)
+		o.unpublished = o.unpublished[:0]
 	}
-	if w <= 1 || len(batch) < 512 {
-		for i, e := range batch {
-			if err := ing.foldShard(e, o.base+uint64(i)); err != nil {
-				return o.base + uint64(i), err
-			}
-		}
-		return 0, nil
-	}
-	type verdict struct {
-		idx int
-		err error
-	}
-	verdicts := make([]verdict, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			verdicts[k] = verdict{idx: -1}
-			for i, e := range batch {
-				if int(e.Thread)%w != k && int(e.Thread) < len(ing.shards) {
-					continue
-				}
-				if int(e.Thread) >= len(ing.shards) && i%w != k {
-					continue // out-of-range threads: dealt by one worker each
-				}
-				if err := ing.foldShard(e, o.base+uint64(i)); err != nil {
-					verdicts[k] = verdict{idx: i, err: err}
-					return
-				}
-			}
-		}(k)
-	}
-	wg.Wait()
-	best := verdict{idx: -1}
-	for _, v := range verdicts {
-		if v.err != nil && (best.idx < 0 || v.idx < best.idx) {
-			best = v
-		}
-	}
-	if best.err != nil {
-		return o.base + uint64(best.idx), best.err
-	}
-	return 0, nil
 }
 
 // finish closes the feed after a complete stream and waits for the replay

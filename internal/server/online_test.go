@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -384,11 +385,68 @@ func TestStreamOnlineParamTaxonomy(t *testing.T) {
 	}
 }
 
+// TestStreamOnlineErrorParity: an online session folds entries exactly as
+// plain ingest does, so every malformed body of the error taxonomy, and an
+// exhausted frame quota, draws the same status, code, error text and
+// frames_ingested counter at duty=0 and duty=100 as without detect=online.
+func TestStreamOnlineErrorParity(t *testing.T) {
+	type verdict struct {
+		status int
+		body   errorBody
+		frames uint64
+	}
+	post := func(t *testing.T, cfg Config, query string, body []byte, chunk int) verdict {
+		t.Helper()
+		srv := New(cfg)
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		defer shutdownOrFail(t, srv)
+		resp, raw := postStream(t, ts.URL, query, body, chunk)
+		var v verdict
+		v.status = resp.StatusCode
+		if err := json.Unmarshal(raw, &v.body); err != nil {
+			t.Fatalf("%s: error body is not structured JSON: %v (%s)", query, err, raw)
+		}
+		mresp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mresp.Body.Close()
+		var m Metrics
+		if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		v.frames = m.Streams.FramesIngested
+		return v
+	}
+	cases := streamBodyErrors(t)
+	cases = append(cases, streamErrorCase{"frame quota", "app=fft&seed=3&threads=4",
+		recordFixture(t, 3), http.StatusRequestEntityTooLarge, codeQuotaExceeded})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 1, QueueDepth: 4}
+			chunk := 5
+			if tc.wantCode == codeQuotaExceeded {
+				cfg.MaxStreamFrames, chunk = 2, 4096
+			}
+			plain := post(t, cfg, tc.query, tc.body, chunk)
+			if plain.status != tc.wantStatus || plain.body.Code != tc.wantCode {
+				t.Fatalf("plain ingest: status %d code %q, want %d %q", plain.status, plain.body.Code, tc.wantStatus, tc.wantCode)
+			}
+			for _, duty := range []int{0, 100} {
+				online := post(t, cfg, fmt.Sprintf("%s&detect=online&duty=%d", tc.query, duty), tc.body, chunk)
+				if online != plain {
+					t.Errorf("duty=%d: %+v, plain ingest %+v", duty, online, plain)
+				}
+			}
+		})
+	}
+}
+
 // TestStreamOnlineWrapFixture is the clock-wrap satellite through the online
 // path: a synthetic log whose per-thread clocks cross the 16-bit boundary
 // must produce identical shard summaries (the unwrap arithmetic) whether it
-// is ingested offline, online serially (small chunks), or online through the
-// parallel worker fold (one big chunk, batch >= the fan-out threshold). The
+// is ingested offline, online in small chunks, or online in one chunk. The
 // synthetic log does not correspond to any real run, so the online replay
 // reports divergence — a 200 verdict, never an error.
 func TestStreamOnlineWrapFixture(t *testing.T) {
@@ -409,7 +467,7 @@ func TestStreamOnlineWrapFixture(t *testing.T) {
 	}
 	logBytes := buf.Bytes()
 
-	srv := New(Config{Workers: 1, QueueDepth: 4, StreamWorkers: 4})
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer shutdownOrFail(t, srv)
@@ -429,13 +487,13 @@ func TestStreamOnlineWrapFixture(t *testing.T) {
 	}
 
 	offline, offHash, _ := shards("app=fft&seed=1&threads=4&verify=0", 4096)
-	onSerial, serialHash, sum1 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", 16)
-	onPar, parHash, sum2 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", len(logBytes))
+	onSmall, smallHash, sum1 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", 16)
+	onWhole, wholeHash, sum2 := shards("app=fft&seed=1&threads=4&verify=0&detect=online&duty=100", len(logBytes))
 
-	if offHash != serialHash || offHash != parHash {
-		t.Fatalf("log hashes differ: offline %s serial %s parallel %s", offHash, serialHash, parHash)
+	if offHash != smallHash || offHash != wholeHash {
+		t.Fatalf("log hashes differ: offline %s small chunks %s one chunk %s", offHash, smallHash, wholeHash)
 	}
-	for _, on := range [][]ShardSummary{onSerial, onPar} {
+	for _, on := range [][]ShardSummary{onSmall, onWhole} {
 		if len(on) != len(offline) {
 			t.Fatalf("shard count differs: %d vs %d", len(on), len(offline))
 		}

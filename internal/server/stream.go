@@ -38,9 +38,8 @@ import (
 var errOrderViolation = record.ErrOrderViolation
 
 // streamShard is one thread's slice of a session's detector state. Shards
-// are independent by construction — entry ordering constraints are
-// per-thread (PROTOCOL.md §3) — which is what lets concurrent sessions and
-// future parallel ingest scale without shared write state.
+// are independent by construction: entry ordering constraints are
+// per-thread (PROTOCOL.md §3).
 type streamShard struct {
 	started   bool
 	lastClock clock.Scalar
@@ -86,30 +85,15 @@ var errStreamQuota = errors.New("server: stream quota exceeded")
 
 // ingest folds one decoded entry into the session state: quota check, shard
 // unwrap (the same per-thread clock arithmetic record.Schedule performs, but
-// online), and the content hash.
+// online), and the FNV-1a content hash over the entry's 8 wire bytes.
 func (g *streamIngest) ingest(e record.Entry) error {
 	if g.frames >= g.maxFrames {
 		return fmt.Errorf("%w: frame quota (%d frames) exhausted", errStreamQuota, g.maxFrames)
 	}
-	if err := g.foldShard(e, g.frames); err != nil {
-		return err
-	}
-	g.hashEntry(e)
-	g.frames++
-	return nil
-}
-
-// foldShard is the shard half of ingest — validation and clock unwrap for
-// entry e, the idx-th of the stream. The index is a parameter (rather than
-// g.frames) so the online worker group, which folds a whole chunk batch
-// before advancing the frame counter, reports errors naming the same entry
-// sequential ingest would. Distinct threads touch distinct shards, so
-// concurrent foldShard calls are safe as long as no two run for one thread.
-func (g *streamIngest) foldShard(e record.Entry, idx uint64) error {
 	t := int(e.Thread)
 	if t >= len(g.shards) {
 		return fmt.Errorf("%w: entry %d names thread %d, session has %d threads",
-			errOrderViolation, idx, t, len(g.shards))
+			errOrderViolation, g.frames, t, len(g.shards))
 	}
 	sh := &g.shards[t]
 	if !sh.started {
@@ -119,18 +103,14 @@ func (g *streamIngest) foldShard(e record.Entry, idx uint64) error {
 	} else {
 		delta := uint16(e.Clock - sh.lastClock)
 		if int(delta) > clock.Window {
-			return fmt.Errorf("%w: entry %d clock regressed for thread %d", errOrderViolation, idx, t)
+			return fmt.Errorf("%w: entry %d clock regressed for thread %d", errOrderViolation, g.frames, t)
 		}
 		sh.unwrapped += uint64(delta)
 	}
 	sh.lastClock = e.Clock
 	sh.entries++
 	sh.instructions += uint64(e.Instr)
-	return nil
-}
 
-// hashEntry folds one entry's 8 wire bytes into the running content hash.
-func (g *streamIngest) hashEntry(e record.Entry) {
 	var b [record.EntryBytes]byte
 	binary.LittleEndian.PutUint16(b[0:2], uint16(e.Clock))
 	binary.LittleEndian.PutUint16(b[2:4], e.Thread)
@@ -138,6 +118,8 @@ func (g *streamIngest) hashEntry(e record.Entry) {
 	for _, c := range b {
 		g.hash = (g.hash ^ uint64(c)) * fnvPrime64
 	}
+	g.frames++
+	return nil
 }
 
 // summaries renders the non-empty shards in thread order — deterministic, so
@@ -429,11 +411,10 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 	}
 	sink := ing.ingest
 	if opts.online {
-		online = startOnline(opts, s.cfg.StreamWorkers)
-		online.maxFrames = s.cfg.MaxStreamFrames
+		online = startOnline(opts)
 		defer online.stop()
 		fw = newFrameWriter(w, rc)
-		sink = online.collect
+		sink = func(e record.Entry) error { return online.ingest(ing, e) }
 	}
 
 	defer func() {
@@ -456,19 +437,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 				return fail(http.StatusRequestEntityTooLarge, codeQuotaExceeded,
 					fmt.Errorf("%w: byte quota (%d bytes) exhausted", errStreamQuota, s.cfg.MaxStreamBytes))
 			}
-			ferr := dec.Feed(buf[:n], sink)
-			if online != nil {
-				// Fold the batch even when the decoder failed mid-chunk: every
-				// buffered entry precedes the failure point, and a fold error
-				// (earlier byte offset) outranks the decoder's.
-				if berr := online.ingestBatch(ing); berr != nil {
-					return fail(streamIngestFailure(berr))
-				}
-			}
-			if ferr != nil {
-				return fail(streamIngestFailure(ferr))
+			if err := dec.Feed(buf[:n], sink); err != nil {
+				return fail(streamIngestFailure(err))
 			}
 			if online != nil {
+				online.publish()
 				fw.progress(online, ing, bytesIn, n)
 			}
 		}

@@ -390,6 +390,53 @@ func TestStreamLimitRejects(t *testing.T) {
 	}
 }
 
+// streamErrorCase is one /v1/stream request and the verdict it must draw.
+type streamErrorCase struct {
+	name       string
+	query      string
+	body       []byte
+	wantStatus int
+	wantCode   string
+}
+
+// streamWire encodes entries as an order-log stream body.
+func streamWire(t *testing.T, entries ...record.Entry) []byte {
+	t.Helper()
+	var l record.Log
+	for _, e := range entries {
+		l.Append(e)
+	}
+	var buf bytes.Buffer
+	if err := l.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// streamBodyErrors are the error-taxonomy cases whose query is valid and
+// whose body is malformed, so the failure comes from ingest itself.
+func streamBodyErrors(t *testing.T) []streamErrorCase {
+	t.Helper()
+	valid := streamWire(t,
+		record.Entry{Clock: 5, Thread: 0, Instr: 9},
+		record.Entry{Clock: 9, Thread: 1, Instr: 3},
+	)
+	regressed := streamWire(t,
+		record.Entry{Clock: 30000, Thread: 0, Instr: 1},
+		record.Entry{Clock: 100, Thread: 0, Instr: 1}, // delta 36636 > window
+	)
+	badThread := streamWire(t, record.Entry{Clock: 1, Thread: 63, Instr: 1})
+	trailing := append(append([]byte{}, valid...), 0x00)
+	return []streamErrorCase{
+		{"bad magic", "app=fft", []byte("WAT?xxxxxxxxxxxxyyyyyyyy"), http.StatusBadRequest, codeBadFormat},
+		{"truncated header", "app=fft", []byte("CORD"), http.StatusBadRequest, codeTruncated},
+		{"truncated entries", "app=fft", valid[:len(valid)-5], http.StatusBadRequest, codeTruncated},
+		{"trailing bytes", "app=fft", trailing, http.StatusBadRequest, codeBadFormat},
+		{"clock regression", "app=fft&threads=4", regressed, http.StatusUnprocessableEntity, codeOrderViolation},
+		{"thread out of range", "app=fft&threads=4", badThread, http.StatusUnprocessableEntity, codeOrderViolation},
+	}
+}
+
 // TestStreamErrorTaxonomy: every malformed-stream failure mode answers with
 // a structured JSON error body whose code distinguishes structural damage
 // from truncation from order violations — table-driven, per the taxonomy in
@@ -400,45 +447,15 @@ func TestStreamErrorTaxonomy(t *testing.T) {
 	defer ts.Close()
 	defer shutdownOrFail(t, srv)
 
-	wire := func(entries ...record.Entry) []byte {
-		var l record.Log
-		for _, e := range entries {
-			l.Append(e)
-		}
-		var buf bytes.Buffer
-		if err := l.EncodeTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	valid := wire(
+	valid := streamWire(t,
 		record.Entry{Clock: 5, Thread: 0, Instr: 9},
 		record.Entry{Clock: 9, Thread: 1, Instr: 3},
 	)
-	regressed := wire(
-		record.Entry{Clock: 30000, Thread: 0, Instr: 1},
-		record.Entry{Clock: 100, Thread: 0, Instr: 1}, // delta 36636 > window
-	)
-	badThread := wire(record.Entry{Clock: 1, Thread: 63, Instr: 1})
-	trailing := append(append([]byte{}, valid...), 0x00)
-
-	cases := []struct {
-		name       string
-		query      string
-		body       []byte
-		wantStatus int
-		wantCode   string
-	}{
-		{"bad magic", "app=fft", []byte("WAT?xxxxxxxxxxxxyyyyyyyy"), http.StatusBadRequest, codeBadFormat},
-		{"truncated header", "app=fft", []byte("CORD"), http.StatusBadRequest, codeTruncated},
-		{"truncated entries", "app=fft", valid[:len(valid)-5], http.StatusBadRequest, codeTruncated},
-		{"trailing bytes", "app=fft", trailing, http.StatusBadRequest, codeBadFormat},
-		{"clock regression", "app=fft&threads=4", regressed, http.StatusUnprocessableEntity, codeOrderViolation},
-		{"thread out of range", "app=fft&threads=4", badThread, http.StatusUnprocessableEntity, codeOrderViolation},
+	cases := append(streamBodyErrors(t), []streamErrorCase{
 		{"unknown app", "app=nope", valid, http.StatusBadRequest, codeBadRequest},
 		{"bad verify flag", "app=fft&verify=maybe", valid, http.StatusBadRequest, codeBadRequest},
 		{"bad seed", "app=fft&seed=x", valid, http.StatusBadRequest, codeBadRequest},
-	}
+	}...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postStream(t, ts.URL, tc.query, tc.body, 5)
