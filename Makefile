@@ -27,7 +27,7 @@ test:
 # share, and the fleet coordinator's registry/work-stealing scheduler —
 # must stay race-clean. Requires cgo (CGO_ENABLED=1) on most platforms.
 race:
-	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./cmd/cordbench/
+	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./internal/sim/ ./cmd/cordbench/
 
 # Campaign scaling benchmark: compare procs=1 vs procs=4 lines.
 bench:

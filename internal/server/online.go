@@ -217,7 +217,8 @@ type onlineSession struct {
 	gate   *dutyGate
 	feed   *sim.ReplayFeed
 	cancel chan struct{}
-	done   chan onlineOutcome
+	done   chan struct{} // closed once the engine has returned result
+	result onlineOutcome
 
 	stopped bool
 	outcome *onlineOutcome
@@ -242,7 +243,7 @@ func startOnline(opts streamOptions) *onlineSession {
 	o.gate = newDutyGate(opts.req, opts.duty, o.detector)
 	o.feed = sim.NewReplayFeed()
 	o.cancel = make(chan struct{})
-	o.done = make(chan onlineOutcome, 1)
+	o.done = make(chan struct{})
 	app, _ := workload.ByName(opts.req.App)
 	cfg := sim.Config{
 		Seed:       opts.req.Seed,
@@ -258,7 +259,8 @@ func startOnline(opts streamOptions) *onlineSession {
 	prog := app.Build(opts.req.Scale, opts.req.Threads)
 	go func() {
 		res, err := sim.New(cfg, prog).Run()
-		o.done <- onlineOutcome{res: res, err: err}
+		o.result = onlineOutcome{res: res, err: err}
+		close(o.done)
 	}()
 	return o
 }
@@ -285,11 +287,24 @@ func (o *onlineSession) ingest(ing *streamIngest, e record.Entry) error {
 }
 
 // publish hands the epochs released since the last call to the replay
-// engine; the stream handler calls it once per chunk.
-func (o *onlineSession) publish() {
-	if o.feed != nil {
-		o.feed.Append(o.unpublished...)
-		o.unpublished = o.unpublished[:0]
+// engine and waits until the engine has run as far as they allow: it has
+// taken every published epoch and waits on the feed. The stream handler calls
+// it once per chunk, before its progress frame, so the frame reflects every
+// race the replay can find in the epochs released so far. The wait also
+// ends when the engine exits, the request is canceled, or idle passes.
+func (o *onlineSession) publish(canceled <-chan struct{}, idle time.Duration) {
+	if o.feed == nil {
+		return
+	}
+	o.feed.Append(o.unpublished...)
+	o.unpublished = o.unpublished[:0]
+	timer := time.NewTimer(idle)
+	defer timer.Stop()
+	select {
+	case <-o.feed.Idle():
+	case <-o.done:
+	case <-canceled:
+	case <-timer.C:
 	}
 }
 
@@ -305,9 +320,9 @@ func (o *onlineSession) finish(clientGone <-chan struct{}, timeout time.Duration
 	o.feed.Append(rest...)
 	o.feed.CloseFeed()
 	select {
-	case out := <-o.done:
-		o.outcome = &out
-		return &out, 0, "", nil
+	case <-o.done:
+		o.outcome = &o.result
+		return o.outcome, 0, "", nil
 	case <-time.After(timeout):
 		o.halt()
 		return nil, http.StatusGatewayTimeout, codeTimeout,
@@ -327,10 +342,8 @@ func (o *onlineSession) halt() {
 	}
 	o.stopped = true
 	close(o.cancel)
-	if o.outcome == nil {
-		out := <-o.done
-		o.outcome = &out
-	}
+	<-o.done
+	o.outcome = &o.result
 }
 
 // stop is the deferred cleanup: a session that already finished is a no-op;

@@ -167,9 +167,12 @@ func TestStreamOnlineByteIdentity(t *testing.T) {
 
 func itoa(n int) string { return strconv.Itoa(n) }
 
-// TestStreamOnlineMidStreamRaces pins the point of the feature: with a racy
-// recording dribbled in slowly, the client reads a progress frame announcing
-// races strictly before it has finished uploading the log.
+// TestStreamOnlineMidStreamRaces pins the point of the feature: the client
+// reads a progress frame announcing races strictly before it has finished
+// uploading the log. The head of a racy recording goes out in one write and
+// the tail is held back until such a frame arrives. No sleep paces the
+// upload: the handler's chunk-boundary wait (the replay has run every
+// released epoch before the frame is written) is what guarantees it.
 func TestStreamOnlineMidStreamRaces(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv)
@@ -179,103 +182,57 @@ func TestStreamOnlineMidStreamRaces(t *testing.T) {
 	logBytes, injTh, injNth := racyFixture(t, 1, 2)
 	query := "app=fft&seed=1&threads=4&inject=2&detect=online&duty=100&verify=0" +
 		"&inject_thread=" + itoa(injTh) + "&inject_nth=" + itoa(int(injNth))
-
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream?"+query, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	raceSeen := make(chan struct{})   // closed when a frame reports races
-	clientDone := make(chan []string) // the frame-shipped races, in order
+	frames := make(chan progressFrame, 64)
 	go func() {
+		defer close(frames)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Errorf("stream request: %v", err)
-			close(raceSeen)
-			clientDone <- nil
 			return
 		}
 		defer resp.Body.Close()
-		var shipped []string
-		signaled := false
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, `{"frame":"progress"`) {
-				break // summary reached; drain and finish
-			}
 			var f progressFrame
-			if err := json.Unmarshal([]byte(line), &f); err != nil {
-				t.Errorf("bad frame %q: %v", line, err)
-				break
-			}
-			shipped = append(shipped, f.NewRaces...)
-			if f.RacesSoFar > 0 && !signaled {
-				signaled = true
-				close(raceSeen)
+			if strings.HasPrefix(sc.Text(), `{"frame":"progress"`) && json.Unmarshal(sc.Bytes(), &f) == nil {
+				frames <- f
 			}
 		}
-		for sc.Scan() {
-		}
-		if !signaled {
-			close(raceSeen)
-		}
-		clientDone <- shipped
 	}()
 
-	// Dribble entries one at a time; each write is a chunk boundary the
-	// server may emit a frame at. Hold back a tail so "mid-stream" is real.
 	tail := 40 * record.EntryBytes
-	head := logBytes[:len(logBytes)-tail]
-	if _, err := pw.Write(head[:record.HeaderBytes]); err != nil {
+	if _, err := pw.Write(logBytes[:len(logBytes)-tail]); err != nil {
 		t.Fatal(err)
 	}
-	sawMidStream := false
-	for off := record.HeaderBytes; off < len(head); off += record.EntryBytes {
-		if _, err := pw.Write(head[off : off+record.EntryBytes]); err != nil {
-			t.Fatal(err)
-		}
+	var shipped []string
+	timeout := time.After(30 * time.Second) // a safety net, not a pacing delay
+	for raced := false; !raced; {
 		select {
-		case <-raceSeen:
-			sawMidStream = true
-		case <-time.After(2 * time.Millisecond):
-		}
-		if sawMidStream {
-			break
-		}
-	}
-	if !sawMidStream {
-		// Give the engine a moment to catch up, then force one more boundary.
-		deadline := time.Now().Add(10 * time.Second)
-		for off := 0; !sawMidStream && time.Now().Before(deadline); {
-			_ = off
-			if _, err := pw.Write(logBytes[len(logBytes)-tail : len(logBytes)-tail+record.EntryBytes]); err != nil {
-				t.Fatal(err)
+		case f, ok := <-frames:
+			if !ok {
+				t.Fatal("response ended before the tail was sent")
 			}
-			tail -= record.EntryBytes
-			if tail == 0 {
-				break
-			}
-			select {
-			case <-raceSeen:
-				sawMidStream = true
-			case <-time.After(50 * time.Millisecond):
-			}
+			shipped = append(shipped, f.NewRaces...)
+			raced = f.RacesSoFar > 0
+		case <-timeout:
+			pw.CloseWithError(io.ErrClosedPipe)
+			t.Fatal("no progress frame reported races while the tail was held back")
 		}
 	}
-	if !sawMidStream {
-		t.Fatal("no progress frame reported races before the upload finished")
+	if len(shipped) == 0 {
+		t.Fatal("the frame reporting races carried no race strings")
 	}
 	if _, err := pw.Write(logBytes[len(logBytes)-tail:]); err != nil {
 		t.Fatal(err)
 	}
 	pw.Close()
-
-	shipped := <-clientDone
-	if len(shipped) == 0 {
-		t.Fatal("client never received race strings in progress frames")
+	for range frames {
 	}
 }
 

@@ -441,7 +441,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, opts stream
 				return fail(streamIngestFailure(err))
 			}
 			if online != nil {
-				online.publish()
+				online.publish(r.Context().Done(), s.cfg.StreamIdleTimeout)
 				fw.progress(online, ing, bytesIn, n)
 			}
 		}

@@ -181,26 +181,25 @@ type request struct {
 type response struct {
 	value uint64
 	skip  bool
-	abort bool
 }
 
+// threadCtx is one simulated thread: a coroutine parked in its Env call
+// (req) between scheduling decisions. next resumes it until its next Env
+// call or its end; stop unwinds it early; err is the panic that ended it.
 type threadCtx struct {
-	id     int
-	proc   int
-	vtime  uint64
-	instr  uint64 // committed instructions
-	state  threadState
-	block  memsys.Addr
-	req    request
-	resume chan response
-	hash   uint64 // FNV-1a over read values
-	eng    *Engine
-}
-
-type threadEvent struct {
-	t   *threadCtx
-	don bool
-	err error
+	id    int
+	proc  int
+	vtime uint64
+	instr uint64 // committed instructions
+	state threadState
+	block memsys.Addr
+	req   request
+	resp  response // what the pending Env call returns when resumed
+	hash  uint64   // FNV-1a over read values
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool // the coroutine's suspend point, used by Env.do
+	err   error
 }
 
 type lockKey struct {
@@ -214,7 +213,6 @@ type Engine struct {
 	prog        Program
 	mem         *memsys.Memory
 	threads     []*threadCtx
-	events      chan threadEvent
 	rng         *rand.Rand
 	seq         uint64
 	ops         uint64
@@ -233,7 +231,7 @@ type Engine struct {
 	epochFresh   bool   // epoch just began: drain the thread's micro-ops first
 	replayErr    error  // sticky divergence detected while charging quota
 	feed         *ReplayFeed
-	feedRead     int  // epochs consumed from the feed into e.epochs
+	epochBase    int  // absolute index of epochs[0]: feed epochs already run are dropped
 	feedCanceled bool // Cancel fired while waiting on the feed
 
 	lastAccess trace.Access
@@ -256,7 +254,6 @@ func New(cfg Config, prog Program) *Engine {
 		cfg:         cfg,
 		prog:        prog,
 		mem:         memsys.NewMemory(),
-		events:      make(chan threadEvent),
 		rng:         rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 		skipped:     make(map[lockKey]int),
 		primIdx:     -1,
@@ -272,16 +269,31 @@ func New(cfg Config, prog Program) *Engine {
 			e.primIdx = i
 		}
 	}
-	for t := 0; t < prog.Threads; t++ {
-		e.threads = append(e.threads, &threadCtx{
-			id:     t,
-			proc:   t % cfg.Procs,
-			resume: make(chan response),
-			hash:   fnvOffset,
-			eng:    e,
+	for id := 0; id < prog.Threads; id++ {
+		t := &threadCtx{id: id, proc: id % cfg.Procs, hash: fnvOffset}
+		t.next, t.stop = coroutine(func(yield func(struct{}) bool) {
+			defer func() {
+				if r := recover(); r != nil && r != errAborted {
+					t.err = fmt.Errorf("sim: thread %d panicked: %v", t.id, r)
+				}
+			}()
+			t.yield = yield
+			prog.Body(t.id, &Env{t: t})
 		})
+		e.threads = append(e.threads, t)
 	}
 	return e
+}
+
+// resume runs t until its next Env call, which it leaves parked in t.req, or
+// until its body returns; it reports whether the thread is still running.
+func (e *Engine) resume(t *threadCtx) bool {
+	if _, ok := t.next(); ok {
+		e.absorbBlock(t)
+		return true
+	}
+	t.state = stDone
+	return false
 }
 
 // Run executes the program to completion (or deadlock) and returns the
@@ -290,44 +302,12 @@ func (e *Engine) Run() (Result, error) {
 	if e.prog.Init != nil {
 		e.prog.Init(e.mem)
 	}
+	// Run every thread to its first Env call, in id order.
 	for _, t := range e.threads {
-		t := t
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r == errAborted {
-						e.events <- threadEvent{t: t, don: true}
-						return
-					}
-					e.events <- threadEvent{t: t, don: true, err: fmt.Errorf("sim: thread %d panicked: %v", t.id, r)}
-					return
-				}
-				e.events <- threadEvent{t: t, don: true}
-			}()
-			env := &Env{t: t}
-			e.prog.Body(t.id, env)
-		}()
-	}
-	// Threads run concurrently only until their first Env call; collect one
-	// event (a parked request, or completion) from every thread before
-	// entering the deterministic loop.
-	parked := 0
-	var firstErr error
-	for parked < len(e.threads) {
-		ev := <-e.events
-		if ev.don {
-			ev.t.state = stDone
-			if ev.err != nil && firstErr == nil {
-				firstErr = ev.err
-			}
-		} else {
-			e.absorbBlock(ev.t)
+		if !e.resume(t) && t.err != nil {
+			e.abortAll()
+			return Result{}, t.err
 		}
-		parked++
-	}
-	if firstErr != nil {
-		e.abortAll()
-		return Result{}, firstErr
 	}
 
 	if e.replay && e.cfg.OnEpoch != nil {
@@ -379,24 +359,19 @@ func (e *Engine) Run() (Result, error) {
 				break
 			}
 			if t.state == stBlocked {
-				// The thread went to sleep; leave it parked on its
-				// resume channel until wake() readies it again.
+				// The thread went to sleep; leave it parked in its Env
+				// call until wake() readies it again.
 				continue
 			}
 		}
 		t.req.kind = reqNone
-		// Resume the thread and wait for its next request or completion.
-		t.resume <- resp
-		ev := <-e.events
-		if ev.don {
-			ev.t.state = stDone
-			e.finishThread(ev.t)
-			if ev.err != nil {
-				runErr = ev.err
+		t.resp = resp
+		if !e.resume(t) {
+			e.finishThread(t)
+			if t.err != nil {
+				runErr = t.err
 				break
 			}
-		} else {
-			e.absorbBlock(ev.t)
 		}
 	}
 	e.abortAll()
@@ -436,14 +411,10 @@ func (e *Engine) allDone() bool {
 	return true
 }
 
-// abortAll unblocks any parked thread goroutines so they exit.
+// abortAll unwinds every thread still parked in an Env call.
 func (e *Engine) abortAll() {
 	for _, t := range e.threads {
-		if t.state != stDone {
-			t.state = stDone
-			t.resume <- response{abort: true}
-			<-e.events // the goroutine acknowledges via its done event
-		}
+		t.stop()
 	}
 }
 
@@ -554,13 +525,18 @@ func (e *Engine) pullEpochs() bool {
 		return false
 	}
 	for {
-		eps, closed, wake := e.feed.take(e.feedRead)
+		eps, closed, wake := e.feed.take()
 		if len(eps) > 0 {
-			// Copy into the engine's own schedule: replayRecoverable swaps
-			// and requeues epochs in place, which must never write back into
-			// the producer's published slice.
-			e.feedRead += len(eps)
-			e.epochs = append(e.epochs, eps...)
+			// The feed hands the epochs over, so the engine owns them. Once
+			// every epoch taken so far has run, drop them; epochBase keeps
+			// the OnEpoch indices absolute. replayRecoverable's look-ahead
+			// pulls with its epoch still current, so it only appends.
+			if e.epochIdx >= len(e.epochs) {
+				e.epochBase += len(e.epochs)
+				e.epochs, e.epochIdx = eps, 0
+			} else {
+				e.epochs = append(e.epochs, eps...)
+			}
 			return true
 		}
 		if closed {
@@ -584,7 +560,7 @@ func (e *Engine) advanceEpoch() {
 	e.epochRun = 0
 	e.epochFresh = true
 	if e.cfg.OnEpoch != nil {
-		e.cfg.OnEpoch(e.epochIdx)
+		e.cfg.OnEpoch(e.epochBase + e.epochIdx)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"cord/internal/trace"
 )
 
-// errAborted is panicked inside a workload goroutine when the engine tears
-// the run down early; the goroutine's recover turns it into a clean exit.
+// errAborted is panicked inside a thread's Env call when the engine tears
+// the run down early; the thread coroutine's recover turns it into a clean
+// exit.
 var errAborted = errors.New("sim: run aborted")
 
 // Env is a thread's handle to the simulated machine. All methods may only be
@@ -33,12 +34,10 @@ func (e *Env) Proc() int { return e.t.proc }
 func (e *Env) do(r request) response {
 	t := e.t
 	t.req = r
-	t.eng.events <- threadEvent{t: t}
-	resp := <-t.resume
-	if resp.abort {
+	if !t.yield(struct{}{}) {
 		panic(errAborted)
 	}
-	return resp
+	return t.resp
 }
 
 // Read performs a data read of the word at a and returns its value.

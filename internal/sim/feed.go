@@ -19,19 +19,24 @@ import (
 // sequence being sorted to decide when no concurrent epoch can still arrive.
 //
 // Append copies the epochs, so producers may reuse their slices (the
-// EpochStream release buffer, for instance) immediately. One producer and one
-// consuming engine is the supported topology; Append and CloseFeed may be
-// called from any goroutine.
+// EpochStream release buffer, for instance) immediately. The feed holds only
+// the epochs the engine has not taken yet: taking hands them over, so a
+// long stream costs memory for one chunk, not for its whole history. One
+// producer and one consuming engine is the supported topology; Append,
+// CloseFeed and Idle may be called from any goroutine.
 type ReplayFeed struct {
-	mu     sync.Mutex
-	epochs []record.Epoch
-	closed bool
-	wake   chan struct{}
+	mu      sync.Mutex
+	pending []record.Epoch // appended, not yet taken by the engine
+	n       int            // epochs appended in total
+	closed  bool
+	wake    chan struct{} // closed by the next Append or CloseFeed
+	idle    chan struct{} // closed while the engine waits with nothing pending
+	waiting bool          // idle is closed
 }
 
 // NewReplayFeed returns an empty, open feed.
 func NewReplayFeed() *ReplayFeed {
-	return &ReplayFeed{wake: make(chan struct{})}
+	return &ReplayFeed{wake: make(chan struct{}), idle: make(chan struct{})}
 }
 
 // Append publishes more epochs to the consuming engine.
@@ -44,9 +49,13 @@ func (f *ReplayFeed) Append(eps ...record.Epoch) {
 		f.mu.Unlock()
 		panic("sim: ReplayFeed.Append after CloseFeed")
 	}
-	f.epochs = append(f.epochs, eps...)
+	f.pending = append(f.pending, eps...)
+	f.n += len(eps)
 	close(f.wake)
 	f.wake = make(chan struct{})
+	if f.waiting {
+		f.idle, f.waiting = make(chan struct{}), false
+	}
 	f.mu.Unlock()
 }
 
@@ -68,15 +77,32 @@ func (f *ReplayFeed) CloseFeed() {
 func (f *ReplayFeed) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.epochs)
+	return f.n
 }
 
-// take returns the epochs published past the consumer's read position, the
-// closed flag, and a channel that closes on the next Append or CloseFeed.
-// The returned slice is never mutated afterwards (the producer only appends,
-// and growth reallocates), so the consumer may read it without the lock.
-func (f *ReplayFeed) take(from int) ([]record.Epoch, bool, <-chan struct{}) {
+// Idle returns a channel that is closed once the consuming engine has taken
+// every epoch appended so far and waits for more. A producer that waits on
+// it after an Append knows the engine has run as far as the feed allows. The
+// channel never closes if the engine ends instead (or was never started),
+// so wait on the engine's completion too.
+func (f *ReplayFeed) Idle() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.epochs[from:], f.closed, f.wake
+	return f.idle
+}
+
+// take hands the pending epochs over to the engine, which then owns the
+// slice, and returns the closed flag and a channel that closes on the next
+// Append or CloseFeed. Taking nothing from an open feed means the engine is
+// about to wait, which closes the Idle channel.
+func (f *ReplayFeed) take() ([]record.Epoch, bool, <-chan struct{}) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	eps := f.pending
+	f.pending = nil
+	if len(eps) == 0 && !f.closed && !f.waiting {
+		close(f.idle)
+		f.waiting = true
+	}
+	return eps, f.closed, f.wake
 }

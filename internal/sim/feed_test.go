@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,6 +193,45 @@ func TestReplayFeedEqualTimeArrivesLate(t *testing.T) {
 	}
 	if got.Ops != res.Ops {
 		t.Fatalf("replay committed %d ops, want %d", got.Ops, res.Ops)
+	}
+}
+
+// TestReplayFeedIdleHandOff: after each Append, Idle closes only once the
+// engine has taken the epoch and run it to its end; the feed keeps nothing
+// it handed over, Len still counts every epoch appended, and OnEpoch indices
+// stay absolute although the engine drops the epochs it has run.
+func TestReplayFeedIdleHandOff(t *testing.T) {
+	epochs := recordSchedule(t)
+	prog, _ := feedProg()
+	feed := NewReplayFeed()
+	var last atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		_, err := New(Config{
+			Seed: 42, ReplayFeed: feed, OnEpoch: func(idx int) { last.Store(int64(idx)) },
+		}, prog).Run()
+		done <- err
+	}()
+	for k, ep := range epochs {
+		feed.Append(ep)
+		select {
+		case <-feed.Idle():
+		case err := <-done:
+			t.Fatalf("engine ended before the feed did: %v", err)
+		}
+		if got := last.Load(); got != int64(k+1) {
+			t.Fatalf("after epoch %d the engine is at epoch %d, want %d", k, got, k+1)
+		}
+		feed.mu.Lock()
+		pending := len(feed.pending)
+		feed.mu.Unlock()
+		if pending != 0 || feed.Len() != k+1 {
+			t.Fatalf("after epoch %d: %d epochs pending, Len %d", k, pending, feed.Len())
+		}
+	}
+	feed.CloseFeed()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
