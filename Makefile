@@ -24,7 +24,7 @@ test:
 
 # The concurrent subsystems — the campaign runner's goroutine fan-out, the
 # service's worker pool and stream sessions, the incremental decoder they
-# share, and the fleet coordinator's registry/work-stealing scheduler —
+# share, and the fleet coordinator's membership loop and shared shard queue —
 # must stay race-clean. Requires cgo (CGO_ENABLED=1) on most platforms.
 race:
 	$(GO) test -race ./internal/experiment/... ./internal/server/... ./internal/record/... ./internal/sim/ ./cmd/cordbench/

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,8 +24,8 @@ import (
 // outcome cell under its run identity, and leaves RunDetection to aggregate
 // the journal exactly as it would a local run. The journal is the merge
 // point — remote cells are byte-identical to local ones (the §6 contract),
-// so the artifacts cannot depend on worker count, placement, stealing, or
-// failure schedule. Scheduling policy itself lives in fleetpool.go.
+// so the artifacts cannot depend on worker count, delivery order, or
+// failure schedule. The shared shard queue itself lives in fleetpool.go.
 
 // fleetClientTimeout bounds one shard request end to end: worker queue wait
 // plus serial shard execution. Workers bound sessions themselves
@@ -38,28 +39,20 @@ const fleetClientTimeout = 5 * time.Minute
 // misbehaving worker cannot stall the queue for long.
 var fleetRetryPolicy = httpretry.Policy{Attempts: 5, Fallback: 250 * time.Millisecond, Cap: 5 * time.Second, Jitter: 0.5}
 
-// fleetConfig bundles the coordinator's dispatch parameters. Exactly one of
-// Workers (static -workers list) or Registry (dynamic §7 discovery) names
-// the fleet.
+// fleetConfig bundles the coordinator's dispatch parameters. The fleet
+// itself is named by fleetDispatch's resolve function.
 type fleetConfig struct {
-	// Workers are static worker base URLs; membership is fixed for the
-	// campaign and losing all of them fails the dispatch.
-	Workers []string
-	// Registry is a §7 registry base URL: the worker set is resolved from
-	// GET /v1/fleet/workers, re-resolved every PollInterval (joiners are
-	// probed and put to work mid-campaign), and losing every worker parks
-	// the remaining shards for up to JoinGrace awaiting a replacement.
-	Registry  string
 	ShardRuns int
 	Client    *http.Client
 	Policy    httpretry.Policy
 	// ProgressAddr, when non-empty, serves GET /v1/campaign/progress on
 	// this listen address for the duration of the dispatch.
 	ProgressAddr string
-	// PollInterval is the registry re-resolve cadence (default 2s).
+	// PollInterval is the membership re-resolve cadence (default 2s).
 	PollInterval time.Duration
-	// JoinGrace is how long an all-workers-lost campaign waits for a
-	// joiner before failing, registry mode only (default 30s).
+	// JoinGrace is how long the campaign waits for a first worker to be
+	// listed at startup, and, after every worker was lost, for a (re)joined
+	// worker to complete a shard, before failing (default 30s).
 	JoinGrace time.Duration
 }
 
@@ -93,20 +86,18 @@ func parseWorkers(spec string) ([]string, error) {
 }
 
 // shardWork is one dispatchable shard: a contiguous run range of one app,
-// plus the §7 origin it will declare if it was stolen or requeued.
+// plus the §7 origin it will declare if it was requeued.
 type shardWork struct {
 	id     string
 	ranges []experiment.ShardRange
 	runs   int
-	origin string // "", "steal" or "requeue"
+	origin string // "" or "requeue"
 }
 
 // buildShards cuts the campaign into per-app chunks of at most shardRuns
 // injection runs. Shard ids are deterministic functions of the content
 // (`<app>.<lo>.<hi>`), so a re-dispatched campaign re-sends byte-identical
-// shards and idempotent workers answer from determinism alone. The scheduler
-// may later coalesce contiguous chunks for a fast worker; merged shards
-// follow the same id convention.
+// shards and idempotent workers answer from determinism alone.
 func buildShards(meta experiment.CampaignMeta, shardRuns int) []shardWork {
 	var shards []shardWork
 	for _, app := range meta.Apps {
@@ -239,59 +230,71 @@ func postShard(client *http.Client, url string, req server.CampaignShardRequest,
 	return nil, fmt.Errorf("worker %s gave up after %d attempts: %w", url, policy.Attempts, lastErr)
 }
 
-// probeWorker sends the §6 plan probe and measures its round trip — the
-// seed of the worker's latency EWMA. A disagreeing fingerprint or a fatal
-// status returns a fatalDispatchError; any other failure is a skip (the
-// worker is unusable right now, not proof the campaign is wrong).
-func probeWorker(client *http.Client, url string, planBody []byte, fp string) (rtt time.Duration, err error) {
-	start := time.Now()
-	resp, err := client.Post(url+"/v1/campaign/plan", "application/json", bytes.NewReader(planBody))
+// probeWorker sends the §6 plan probe, abandoned when ctx is done. A
+// disagreeing fingerprint or a fatal status returns a fatalDispatchError;
+// any other failure is a skip (the worker is unusable right now, not proof
+// the campaign is wrong).
+func probeWorker(ctx context.Context, client *http.Client, url string, planBody []byte, fp string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/campaign/plan", bytes.NewReader(planBody))
 	if err != nil {
-		return 0, fmt.Errorf("unreachable: %w", err)
+		return fatalDispatchError{fmt.Errorf("%s: %w", url, err)}
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := client.Do(req)
+	if err != nil {
+		return fmt.Errorf("unreachable: %w", err)
 	}
 	b, readErr := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	rtt = time.Since(start)
 	if readErr != nil || resp.StatusCode != http.StatusOK {
 		var ep errorPayload
 		_ = json.Unmarshal(b, &ep)
 		if fatalStatus(resp.StatusCode) {
-			return 0, fatalDispatchError{fmt.Errorf("%s rejected the campaign plan: status %d code %q: %s",
+			return fatalDispatchError{fmt.Errorf("%s rejected the campaign plan: status %d code %q: %s",
 				url, resp.StatusCode, ep.Code, ep.Error)}
 		}
-		return 0, fmt.Errorf("plan probe failed (status %d)", resp.StatusCode)
+		return fmt.Errorf("plan probe failed (status %d)", resp.StatusCode)
 	}
 	var plan server.CampaignPlanResponse
 	if err := json.Unmarshal(b, &plan); err != nil {
-		return 0, fatalDispatchError{fmt.Errorf("%s: unparsable plan response: %v", url, err)}
+		return fatalDispatchError{fmt.Errorf("%s: unparsable plan response: %v", url, err)}
 	}
 	if plan.Fingerprint != fp {
-		return 0, fatalDispatchError{fmt.Errorf("%s fingerprints the campaign %s, this coordinator %s: worker and coordinator builds or configurations disagree — refusing to merge its results",
+		return fatalDispatchError{fmt.Errorf("%s fingerprints the campaign %s, this coordinator %s: worker and coordinator builds or configurations disagree — refusing to merge its results",
 			url, plan.Fingerprint, fp)}
 	}
-	return rtt, nil
+	return nil
 }
 
-// resolveRegistry lists the live workers from a §7 registry.
-func resolveRegistry(client *http.Client, registry string) ([]string, error) {
-	resp, err := client.Get(registry + "/v1/fleet/workers")
-	if err != nil {
-		return nil, fmt.Errorf("fleet: registry %s unreachable: %w", registry, err)
+// fixedFleet lists a static -workers fleet: a registry whose listing never
+// changes.
+func fixedFleet(urls []string) func() ([]string, error) {
+	return func() ([]string, error) { return urls, nil }
+}
+
+// registryFleet lists the live workers from a §7 registry, asking it anew
+// on every call.
+func registryFleet(client *http.Client, registry string) func() ([]string, error) {
+	return func() ([]string, error) {
+		resp, err := client.Get(registry + "/v1/fleet/workers")
+		if err != nil {
+			return nil, fmt.Errorf("fleet: registry %s unreachable: %w", registry, err)
+		}
+		b, readErr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if readErr != nil || resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("fleet: registry %s listing failed (status %d)", registry, resp.StatusCode)
+		}
+		var list server.FleetWorkersResponse
+		if err := json.Unmarshal(b, &list); err != nil {
+			return nil, fmt.Errorf("fleet: registry %s: unparsable listing: %v", registry, err)
+		}
+		urls := make([]string, 0, len(list.Workers))
+		for _, w := range list.Workers {
+			urls = append(urls, strings.TrimRight(w.URL, "/"))
+		}
+		return urls, nil
 	}
-	b, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if readErr != nil || resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: registry %s listing failed (status %d)", registry, resp.StatusCode)
-	}
-	var list server.FleetWorkersResponse
-	if err := json.Unmarshal(b, &list); err != nil {
-		return nil, fmt.Errorf("fleet: registry %s: unparsable listing: %v", registry, err)
-	}
-	urls := make([]string, 0, len(list.Workers))
-	for _, w := range list.Workers {
-		urls = append(urls, strings.TrimRight(w.URL, "/"))
-	}
-	return urls, nil
 }
 
 // startProgressServer serves GET /v1/campaign/progress on addr until stop is
@@ -314,14 +317,17 @@ func startProgressServer(addr string, snapshot func() server.CampaignProgress) (
 // RunDetection aggregates entirely from the journal without simulating
 // anything locally.
 //
-// Worker loss is survived by requeueing: a worker that exhausts its retry
-// budget is dropped and its backlog redistributes to the survivors (or, in
-// registry mode, waits for a joiner). Fast workers steal queued shards from
-// slow or suspect ones — still exactly-once, because the journal keyed by
-// run identity is the merge point. Closing opts.Interrupt drains in-flight
-// shards (journaling them) and returns experiment.ErrInterrupted; the
-// journal then resumes the campaign exactly like a local -resume.
-func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
+// resolve lists the fleet: a fixed -workers list (fixedFleet) or a §7
+// registry's current listing (registryFleet); both follow the same
+// membership loop. Worker loss is survived by requeueing: a worker that
+// exhausts its retry budget is dropped, its in-flight shard goes back to
+// the front of the shared queue, and listed URLs that are not working —
+// new, dead, or unusable at startup — are re-probed every PollInterval.
+// With no worker left the campaign fails unless a (re)joined worker
+// completes a shard within JoinGrace. Closing opts.Interrupt drains
+// in-flight shards (journaling them) and returns experiment.ErrInterrupted;
+// the journal then resumes the campaign exactly like a local -resume.
+func fleetDispatch(opts experiment.Options, resolve func() ([]string, error), cfg fleetConfig) error {
 	cfg = cfg.withDefaults()
 	if opts.Checkpoint == nil {
 		return errors.New("fleet dispatch needs a checkpoint journal as its merge point")
@@ -339,41 +345,34 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		return fmt.Errorf("fleet: encoding plan request: %w", err)
 	}
 
-	// Resolve the worker set: the static -workers list, or the registry's
-	// current listing (retried across PollInterval for up to JoinGrace — a
-	// fleet may still be registering when the coordinator starts).
-	workerURLs := cfg.Workers
-	if cfg.Registry != "" {
-		deadline := time.Now().Add(cfg.JoinGrace)
-		for {
-			workerURLs, err = resolveRegistry(cfg.Client, cfg.Registry)
-			if err == nil && len(workerURLs) > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				if err == nil {
-					err = fmt.Errorf("fleet: registry %s lists no workers", cfg.Registry)
-				}
-				return err
-			}
-			progress("fleet: registry has no workers yet; retrying in %v", cfg.PollInterval)
-			time.Sleep(cfg.PollInterval)
+	// Resolve the worker set, retried across PollInterval for up to
+	// JoinGrace: a registry fleet may still be registering when the
+	// coordinator starts.
+	deadline := time.Now().Add(cfg.JoinGrace)
+	var workerURLs []string
+	for {
+		workerURLs, err = resolve()
+		if err == nil && len(workerURLs) > 0 {
+			break
 		}
+		if time.Now().After(deadline) {
+			if err == nil {
+				err = errors.New("fleet: no workers listed")
+			}
+			return err
+		}
+		progress("fleet: no workers listed yet; retrying in %v", cfg.PollInterval)
+		time.Sleep(cfg.PollInterval)
 	}
 
 	// Probe every worker's plan endpoint: agreement on the fingerprint is
 	// the precondition for merging anything a worker says. Unreachable
 	// workers are dropped with a warning; a disagreeing worker is version
 	// or configuration skew and aborts the dispatch — its cells would merge
-	// silently wrong. The probe round trip seeds the placement EWMA.
-	type probed struct {
-		url string
-		rtt time.Duration
-	}
-	var live []probed
+	// silently wrong.
+	var live []string
 	for _, url := range workerURLs {
-		rtt, err := probeWorker(cfg.Client, url, planBody, fp)
-		if err != nil {
+		if err := probeWorker(context.Background(), cfg.Client, url, planBody, fp); err != nil {
 			var fatal fatalDispatchError
 			if errors.As(err, &fatal) {
 				return fmt.Errorf("fleet: %w", err)
@@ -381,7 +380,7 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			progress("fleet: %s: %v; dispatching without it", url, err)
 			continue
 		}
-		live = append(live, probed{url, rtt})
+		live = append(live, url)
 	}
 	if len(live) == 0 {
 		return fmt.Errorf("fleet: none of the %d workers is usable", len(workerURLs))
@@ -392,10 +391,9 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 	for i, name := range meta.Apps {
 		appIdx[name] = i
 	}
-	all := buildShards(meta, cfg.ShardRuns)
 	var shards []shardWork
 	skipped := 0
-	for _, w := range all {
+	for _, w := range buildShards(meta, cfg.ShardRuns) {
 		if shardJournaled(opts, appIdx, w) {
 			skipped++
 			continue
@@ -408,20 +406,18 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		return nil
 	}
 
-	pool := newFleetPool(campaign, fp, cfg.ShardRuns, cfg.Registry != "", cfg.JoinGrace,
-		len(meta.Apps)*(1+meta.Injections))
-	var seeded []string
+	pool := newFleetPool(campaign, fp, cfg.JoinGrace, len(meta.Apps)*(1+meta.Injections), shards)
 	for i := range meta.Apps {
-		if opts.Checkpoint.Has(opts.DetectCountKey(i)) {
-			seeded = append(seeded, opts.DetectCountKey(i))
-		}
+		keys := []string{opts.DetectCountKey(i)}
 		for j := 0; j < meta.Injections; j++ {
-			if opts.Checkpoint.Has(opts.DetectInjectKey(i, j)) {
-				seeded = append(seeded, opts.DetectInjectKey(i, j))
+			keys = append(keys, opts.DetectInjectKey(i, j))
+		}
+		for _, k := range keys {
+			if opts.Checkpoint.Has(k) {
+				pool.journaled(k)
 			}
 		}
 	}
-	pool.seedJournaled(seeded)
 
 	if cfg.ProgressAddr != "" {
 		bound, stopProgress, err := startProgressServer(cfg.ProgressAddr, pool.snapshot)
@@ -444,7 +440,7 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 		}()
 	}
 
-	// Worker loops: take (own queue → orphans → steal), execute, journal.
+	// Worker loops: take from the shared queue, execute, journal.
 	var wg sync.WaitGroup
 	runWorker := func(url string) {
 		defer wg.Done()
@@ -461,7 +457,6 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 				Ranges:      w.ranges,
 				Origin:      w.origin,
 			}
-			start := time.Now()
 			cells, err := postShard(cfg.Client, url, req, cfg.Policy, progress,
 				func() { pool.markSuspect(url) })
 			if err != nil {
@@ -493,7 +488,7 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 				// outcome — a failed append must stop the campaign before
 				// aggregation runs on holes.
 				pool.fail(jerr)
-				pool.completed(url, w, time.Since(start))
+				pool.completed(url)
 				return
 			}
 			if w.origin != "" {
@@ -501,70 +496,64 @@ func fleetDispatch(opts experiment.Options, cfg fleetConfig) error {
 			} else {
 				progress("fleet: %s completed shard %s (%d runs, %d cells)", url, w.id, w.runs, len(cells))
 			}
-			pool.completed(url, w, time.Since(start))
+			pool.completed(url)
 		}
 	}
-	// Shards are placed before any loop starts: a loop that found the pool
-	// empty would exit, stranding whatever is later placed or requeued on
-	// its worker.
-	var started []string
-	for _, p := range live {
-		if pool.addWorker(p.url, float64(p.rtt)/float64(time.Millisecond)) {
-			started = append(started, p.url)
+	join := func(url string) bool {
+		if !pool.addWorker(url) {
+			return false
 		}
-	}
-	pool.placeShards(shards)
-	for _, url := range started {
 		wg.Add(1)
 		go runWorker(url)
+		return true
+	}
+	for _, url := range live {
+		join(url)
 	}
 
-	// Registry mode: re-resolve membership on a cadence, probing joiners
-	// (and restarted workers, which re-register under their old URL) and
-	// putting them to work mid-campaign. A joiner that disagrees on the
-	// fingerprint is skipped with a warning, not fatal: nothing of its has
-	// been merged, unlike the workers the campaign started with.
-	stopMembership := make(chan struct{})
+	// Membership: re-resolve on a cadence, probing listed URLs that are new
+	// or dead (a restarted worker answers under its old URL) and putting
+	// them to work mid-campaign. A joiner that disagrees on the fingerprint
+	// is skipped with a warning, not fatal: nothing of its has been merged,
+	// unlike the workers the campaign started with. Stopping cancels a
+	// probe in progress, so a finished campaign never waits on a hung one.
+	membershipCtx, stopMembership := context.WithCancel(context.Background())
 	membershipDone := make(chan struct{})
-	if cfg.Registry != "" {
-		go func() {
-			defer close(membershipDone)
-			tick := time.NewTicker(cfg.PollInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopMembership:
-					return
-				case <-tick.C:
-				}
-				urls, err := resolveRegistry(cfg.Client, cfg.Registry)
-				if err != nil {
-					progress("%v; keeping current membership", err)
+	go func() {
+		defer close(membershipDone)
+		tick := time.NewTicker(cfg.PollInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-membershipCtx.Done():
+				return
+			case <-tick.C:
+			}
+			urls, err := resolve()
+			if err != nil {
+				progress("%v; keeping current membership", err)
+				continue
+			}
+			for _, url := range urls {
+				if !pool.candidate(url) {
 					continue
 				}
-				for _, url := range urls {
-					if !pool.candidate(url) {
-						continue
+				if err := probeWorker(membershipCtx, cfg.Client, url, planBody, fp); err != nil {
+					if membershipCtx.Err() != nil {
+						return
 					}
-					rtt, err := probeWorker(cfg.Client, url, planBody, fp)
-					if err != nil {
-						progress("fleet: joiner %s: %v; skipping", url, err)
-						continue
-					}
-					if pool.addWorker(url, float64(rtt)/float64(time.Millisecond)) {
-						progress("fleet: %s joined the campaign", url)
-						wg.Add(1)
-						go runWorker(url)
-					}
+					progress("fleet: joiner %s: %v; skipping", url, err)
+					continue
+				}
+				if join(url) {
+					progress("fleet: %s joined the campaign", url)
 				}
 			}
-		}()
-	} else {
-		close(membershipDone)
-	}
+		}
+	}()
 
 	failed, interrupted := pool.waitDone()
-	close(stopMembership)
+	stopMembership()
 	<-membershipDone
 	wg.Wait()
 

@@ -25,14 +25,23 @@ import (
 var testPolicy = httpretry.Policy{Attempts: 3, Fallback: time.Millisecond, Cap: 5 * time.Millisecond}
 
 // testDispatch runs fleetDispatch against a static worker list with the
-// fast test retry policy and a short registry cadence.
+// fast test retry policy.
 func testDispatch(opts experiment.Options, urls []string, shardRuns int, client *http.Client) error {
-	return fleetDispatch(opts, fleetConfig{
-		Workers:   urls,
+	return fleetDispatch(opts, fixedFleet(urls), fleetConfig{
 		ShardRuns: shardRuns,
 		Client:    client,
 		Policy:    testPolicy,
 	})
+}
+
+// waitOrError blocks until ch closes; after 30s it reports what never
+// happened and returns, so a broken schedule fails instead of hanging.
+func waitOrError(t *testing.T, ch <-chan struct{}, what string) {
+	select {
+	case <-ch:
+	case <-time.After(30 * time.Second):
+		t.Error(what)
+	}
 }
 
 // fleetTestOptions is a campaign small enough to dispatch many times in a
@@ -73,19 +82,8 @@ func newWorker(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// newMeteredWorker additionally returns the server handle, so tests can
-// assert on its /metrics fleet counters (shards_stolen, shards_requeued are
-// bumped by the worker that receives the re-routed shard).
-func newMeteredWorker(t *testing.T) (*httptest.Server, *server.Server) {
-	t.Helper()
-	srv := server.New(server.Config{Workers: 2})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, srv
-}
-
-// newSlowWorker starts a real worker whose shard responses are delayed,
-// making it the steal victim of any faster peer.
+// newSlowWorker starts a real worker whose shard responses are delayed, so
+// any faster peer pulls more shards from the shared queue than it does.
 func newSlowWorker(t *testing.T, delay time.Duration) *httptest.Server {
 	t.Helper()
 	backend := server.New(server.Config{Workers: 2})
@@ -385,30 +383,62 @@ func TestFleetDispatchResumeSkipsJournaledShards(t *testing.T) {
 	}
 }
 
-// TestFleetDispatchStealsFromSlowWorker pairs a fast worker with one that
-// grinds through every shard slowly: the fast worker must drain its own
-// queue and then steal from the slow one's backlog, and the stolen shards
-// are wire-visible on the fast worker's /metrics fleet block.
-func TestFleetDispatchStealsFromSlowWorker(t *testing.T) {
+// TestFleetDispatchFastWorkerDrainsQueue: with one shared queue a fast
+// worker takes more shards simply by asking more often. The schedule is
+// fixed without sleeps: the fast worker's shard requests wait until the
+// slow worker holds its first shard, and that shard is released only once
+// the fast worker has answered every other one. So the fast worker must
+// execute all shards but one, and the journal must cover the campaign.
+func TestFleetDispatchFastWorkerDrainsQueue(t *testing.T) {
 	opts := fleetTestOptions(t)
 	opts.Injections = 6 // 12 single-run shards across the two apps
-	fast, fastSrv := newMeteredWorker(t)
-	slow := newSlowWorker(t, 40*time.Millisecond)
+	total := int64(len(opts.Apps) * opts.Injections)
+
+	slowHolds := make(chan struct{}) // the slow worker has its first shard
+	release := make(chan struct{})   // the fast worker has answered the rest
+	var fastDone, slowSeen atomic.Int64
+	fastBackend := server.New(server.Config{Workers: 2})
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			fastBackend.ServeHTTP(w, r)
+			return
+		}
+		waitOrError(t, slowHolds, "the slow worker was never sent a shard")
+		fastBackend.ServeHTTP(w, r)
+		if fastDone.Add(1) == total-1 {
+			close(release)
+		}
+	}))
+	t.Cleanup(fast.Close)
+	slowBackend := server.New(server.Config{Workers: 2})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") && slowSeen.Add(1) == 1 {
+			close(slowHolds)
+			waitOrError(t, release, "the fast worker never answered every other shard")
+		}
+		slowBackend.ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
 
 	dopts := opts
 	dopts.Checkpoint = openTestJournal(t)
-	if err := testDispatch(dopts, []string{fast.URL, slow.URL}, 1, fast.Client()); err != nil {
+	if err := testDispatch(dopts, []string{slow.URL, fast.URL}, 1, fast.Client()); err != nil {
 		t.Fatalf("fleetDispatch with a slow worker: %v", err)
 	}
-	if got := fastSrv.Metrics().Fleet.ShardsStolen; got == 0 {
-		t.Fatal("fast worker executed no origin=steal shards (fleet.shards_stolen = 0)")
+	if got := fastDone.Load(); got != total-1 {
+		t.Fatalf("fast worker executed %d shards, want %d (all but the slow worker's one)", got, total-1)
 	}
-	// Stealing must not cost coverage: the whole campaign is journaled.
+	if got := slowSeen.Load(); got != 1 {
+		t.Fatalf("slow worker was sent %d shard requests, want 1", got)
+	}
 	meta := dopts.Meta()
 	for appIdx := range meta.Apps {
+		if !dopts.Checkpoint.Has(dopts.DetectCountKey(appIdx)) {
+			t.Fatalf("app %d count cell missing", appIdx)
+		}
 		for i := 0; i < meta.Injections; i++ {
 			if !dopts.Checkpoint.Has(dopts.DetectInjectKey(appIdx, i)) {
-				t.Fatalf("app %d run %d missing after stealing", appIdx, i)
+				t.Fatalf("app %d run %d missing", appIdx, i)
 			}
 		}
 	}
@@ -447,8 +477,7 @@ func TestFleetDispatchRegistryLateJoiner(t *testing.T) {
 
 	dopts := opts
 	dopts.Checkpoint = openTestJournal(t)
-	err := fleetDispatch(dopts, fleetConfig{
-		Registry:     registry.URL,
+	err := fleetDispatch(dopts, registryFleet(registry.Client(), registry.URL), fleetConfig{
 		ShardRuns:    1,
 		Client:       registry.Client(),
 		Policy:       testPolicy,
@@ -471,39 +500,118 @@ func TestFleetDispatchRegistryLateJoiner(t *testing.T) {
 	}
 }
 
-// TestFleetDispatchRegistryGraceExpires: in registry mode losing every
-// worker parks the campaign for JoinGrace, and with no joiner the dispatch
-// fails with the grace diagnosis instead of hanging.
+// TestFleetDispatchRegistryGraceExpires: losing every worker gives the
+// fleet JoinGrace to complete a shard again, and with none completed the
+// dispatch fails with the grace diagnosis instead of hanging. A static
+// -workers list is a fixed registry listing, so it takes the same path as a
+// registry fleet. Only a completed shard ends the grace: a worker that
+// answers every plan probe but fails every shard keeps rejoining, and must
+// not keep the campaign alive.
 func TestFleetDispatchRegistryGraceExpires(t *testing.T) {
-	registry := newWorker(t)
+	for _, tc := range []struct {
+		name          string
+		registry      bool
+		plansAnswered int64 // 0: every plan probe
+	}{
+		{"registry", true, 1},
+		{"workers", false, 1},
+		{"registry-plans-ok-shards-fail", true, 0},
+		{"workers-plans-ok-shards-fail", false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The worker answers the coordinator's plan probes (only the
+			// first, or all of them) and fails every shard.
+			var plans atomic.Int64
+			backend := server.New(server.Config{Workers: 2})
+			dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/campaign/plan") &&
+					(tc.plansAnswered == 0 || plans.Add(1) <= tc.plansAnswered) {
+					backend.ServeHTTP(w, r)
+					return
+				}
+				http.Error(w, "worker lost", http.StatusInternalServerError)
+			}))
+			t.Cleanup(dying.Close)
+			resolve := fixedFleet([]string{dying.URL})
+			if tc.registry {
+				registry := newWorker(t)
+				registerWorker(t, registry.Client(), registry.URL, dying.URL)
+				resolve = registryFleet(registry.Client(), registry.URL)
+			}
 
-	// The worker answers exactly one plan probe (the coordinator's), then
-	// fails everything — so after its death the membership poll cannot
-	// revive it either.
+			opts := fleetTestOptions(t)
+			opts.Checkpoint = openTestJournal(t)
+			err := fleetDispatch(opts, resolve, fleetConfig{
+				ShardRuns:    2,
+				Client:       dying.Client(),
+				Policy:       testPolicy,
+				PollInterval: 10 * time.Millisecond,
+				JoinGrace:    100 * time.Millisecond,
+			})
+			if err == nil || !strings.Contains(err.Error(), "none joined within") {
+				t.Fatalf("grace expiry not reported: %v", err)
+			}
+		})
+	}
+}
+
+// TestFleetDispatchHungProbeDoesNotDelayFinish: a dead worker that hangs on
+// its membership re-probe must not hold up a campaign the survivor has
+// finished; stopping membership cancels the probe.
+func TestFleetDispatchHungProbeDoesNotDelayFinish(t *testing.T) {
 	var plans atomic.Int64
+	probeHung := make(chan struct{})
+	release := make(chan struct{})
 	backend := server.New(server.Config{Workers: 2})
-	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/campaign/plan") && plans.Add(1) == 1 {
-			backend.ServeHTTP(w, r)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/campaign/plan") {
+			http.Error(w, "worker lost", http.StatusInternalServerError)
 			return
 		}
-		http.Error(w, "worker lost", http.StatusInternalServerError)
+		switch plans.Add(1) {
+		case 1:
+			backend.ServeHTTP(w, r)
+			return
+		case 2:
+			close(probeHung)
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
 	}))
-	t.Cleanup(dying.Close)
-	registerWorker(t, registry.Client(), registry.URL, dying.URL)
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+
+	// The survivor holds its shards until a re-probe of the dead worker
+	// hangs, so the campaign always finishes with that probe in flight.
+	healthySrv := server.New(server.Config{Workers: 2})
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/campaign/shard") {
+			waitOrError(t, probeHung, "the dead worker was never re-probed")
+		}
+		healthySrv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
 
 	opts := fleetTestOptions(t)
 	opts.Checkpoint = openTestJournal(t)
-	err := fleetDispatch(opts, fleetConfig{
-		Registry:     registry.URL,
-		ShardRuns:    2,
-		Client:       registry.Client(),
-		Policy:       testPolicy,
-		PollInterval: 10 * time.Millisecond,
-		JoinGrace:    100 * time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "none joined within") {
-		t.Fatalf("grace expiry not reported: %v", err)
+	done := make(chan error, 1)
+	go func() {
+		done <- fleetDispatch(opts, fixedFleet([]string{healthy.URL, hung.URL}), fleetConfig{
+			ShardRuns:    2,
+			Client:       healthy.Client(),
+			Policy:       testPolicy,
+			PollInterval: 10 * time.Millisecond,
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("fleetDispatch: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the finished campaign waited on a hung membership probe")
 	}
 }
 

@@ -8,111 +8,79 @@ import (
 	"cord/internal/server"
 )
 
-// This file is the coordinator's scheduler: per-worker shard queues weighted
-// by a latency EWMA, work stealing from slow or suspect workers, requeue of a
-// dead worker's backlog, and the bookkeeping behind GET /v1/campaign/progress
-// (PROTOCOL.md §7). Everything here is placement policy — correctness never
-// depends on it, because the checkpoint journal keyed by run identity is the
-// merge point: however many times a shard is placed, stolen, requeued or
+// This file is the coordinator's scheduler: one shared shard queue that
+// every worker loop pulls from when it is idle, requeue of a dead worker's
+// in-flight shard, the join-grace timer for a fleet that lost every worker,
+// and the bookkeeping behind GET /v1/campaign/progress (PROTOCOL.md §7).
+// Fast workers take more shards simply by asking more often. Correctness
+// never depends on the schedule, because the checkpoint journal keyed by run
+// identity is the merge point: however many times a shard is requeued or
 // re-sent, its cells land under the same keys with the same bytes.
-
-// ewmaAlpha is the weight of the newest observation in the per-worker
-// latency estimate. 0.5 converges fast (the probe seed is rough) while still
-// smoothing single-shard noise.
-const ewmaAlpha = 0.5
-
-// maxCoalesceFactor caps adaptive shard sizing: a worker whose EWMA says it
-// is k× faster than the pool mean may take up to min(k, 4) base shards as
-// one request. The cap bounds the work lost if the fast worker then dies.
-const maxCoalesceFactor = 4
 
 // workerState is one worker's slice of the scheduler.
 type workerState struct {
-	url string
-	// queue is the worker's pending shards: the front is executed next, the
-	// back is the coldest work and the end thieves take from.
-	queue    []shardWork
-	inflight int // 0 or 1: each worker loop runs one shard at a time
-	done     int // shards completed
-	// ewmaRunMs estimates this worker's per-injection-run latency. It is
-	// seeded from the plan-probe round trip — meaningful only as a relative
-	// placement weight — and converges onto real shard latencies.
-	ewmaRunMs float64
-	health    string // server.WorkerLive, WorkerSuspect or WorkerDead
-}
-
-// queuedRuns is the backlog in injection runs (the unit EWMAs are per).
-func (w *workerState) queuedRuns() int {
-	runs := 0
-	for _, s := range w.queue {
-		runs += s.runs
-	}
-	return runs
-}
-
-// backlogCostMs is the expected time to drain this worker's queue — the
-// signal thieves use to pick a victim.
-func (w *workerState) backlogCostMs() float64 {
-	return float64(w.queuedRuns()) * w.ewmaRunMs
+	url      string
+	inflight int    // 0 or 1: each worker loop runs one shard at a time
+	done     int    // shards completed
+	health   string // server.WorkerLive, WorkerSuspect or WorkerDead
 }
 
 // fleetPool is the shared scheduler state. All fields are guarded by mu; the
-// cond wakes worker loops when work appears (steal targets included) and the
-// dispatcher when the campaign completes or aborts.
+// cond wakes worker loops when work appears and the dispatcher when the
+// campaign completes or aborts.
 type fleetPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	campaign  string
 	fp        string
-	shardRuns int
-	// registryMode relaxes the all-workers-lost rule: instead of failing
-	// immediately, the pool parks the orphaned work and waits joinGrace for
-	// the registry to deliver a replacement worker.
-	registryMode bool
-	joinGrace    time.Duration
+	joinGrace time.Duration
 
 	workers map[string]*workerState
 	live    int
-	// orphans is work whose owner died with no live worker to requeue it to
-	// (registry mode only): the next joiner drains it first.
-	orphans       []shardWork
-	runsRemaining int
-	inflight      int
-
-	stolen   int
+	// queue is the pending work: idle worker loops take from the front,
+	// and a dead worker's shard goes back to the front.
+	queue    []shardWork
+	inflight int
 	requeued int
 
 	cellsTotal int
 	doneKeys   map[string]bool
 
-	graceTimer  *time.Timer
-	failed      error
-	interrupted bool
+	// graceTimer runs while a fleet that lost every worker has not
+	// completed a shard since; graceExpired is set when it fires, and
+	// lastLoss is the most recent worker death.
+	graceTimer   *time.Timer
+	graceExpired bool
+	lastLoss     error
+	failed       error
+	interrupted  bool
 }
 
-func newFleetPool(campaign, fp string, shardRuns int, registryMode bool, joinGrace time.Duration, cellsTotal int) *fleetPool {
+func newFleetPool(campaign, fp string, joinGrace time.Duration, cellsTotal int, shards []shardWork) *fleetPool {
 	p := &fleetPool{
-		campaign:     campaign,
-		fp:           fp,
-		shardRuns:    shardRuns,
-		registryMode: registryMode,
-		joinGrace:    joinGrace,
-		workers:      make(map[string]*workerState),
-		cellsTotal:   cellsTotal,
-		doneKeys:     make(map[string]bool),
+		campaign:   campaign,
+		fp:         fp,
+		joinGrace:  joinGrace,
+		workers:    make(map[string]*workerState),
+		queue:      shards,
+		cellsTotal: cellsTotal,
+		doneKeys:   make(map[string]bool),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// addWorker registers (or revives) a worker with a latency seed and reports
-// whether a worker loop should be started for it. A URL that is already live
-// or suspect keeps its loop and its learned EWMA.
-func (p *fleetPool) addWorker(url string, seedRunMs float64) bool {
-	if seedRunMs <= 0 {
-		seedRunMs = 1
-	}
+// doneLocked reports whether the campaign has finished: nothing queued and
+// nothing in flight that could still be requeued.
+func (p *fleetPool) doneLocked() bool {
+	return len(p.queue) == 0 && p.inflight == 0
+}
+
+// addWorker registers (or revives) a worker and reports whether a worker
+// loop should be started for it. A URL that is already live or suspect
+// keeps its loop.
+func (p *fleetPool) addWorker(url string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failed != nil || p.interrupted {
@@ -123,166 +91,42 @@ func (p *fleetPool) addWorker(url string, seedRunMs float64) bool {
 		return false // already running
 	}
 	if w == nil {
-		w = &workerState{url: url, ewmaRunMs: seedRunMs}
+		w = &workerState{url: url}
 		p.workers[url] = w
 	}
-	// A revived worker restarts from the probe seed: its process (and its
-	// warm caches) are gone, so the learned EWMA is stale.
-	w.ewmaRunMs = seedRunMs
 	w.health = server.WorkerLive
 	p.live++
-	if p.graceTimer != nil {
-		p.graceTimer.Stop()
-		p.graceTimer = nil
-	}
-	// The joiner takes the orphaned backlog of previously dead workers.
-	if len(p.orphans) > 0 {
-		for i := range p.orphans {
-			p.orphans[i].origin = "requeue"
-		}
-		w.queue = append(w.queue, p.orphans...)
-		p.orphans = nil
-	}
-	p.cond.Broadcast()
 	return true
 }
 
-// candidate reports whether a registry-listed URL is worth probing: unknown
-// to the pool, or known dead (a restarted worker re-registering under its
-// old URL). Anything live or suspect already has a loop.
+// candidate reports whether a listed URL is worth probing: unknown to the
+// pool, or known dead (a restarted worker answering under its old URL).
+// Anything live or suspect already has a loop.
 func (p *fleetPool) candidate(url string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.failed != nil || p.interrupted || p.runsRemaining == 0 {
+	if p.failed != nil || p.interrupted || p.doneLocked() {
 		return false
 	}
 	w := p.workers[url]
 	return w == nil || w.health == server.WorkerDead
 }
 
-// placeShards distributes the initial shard cut across the live workers:
-// each shard goes to the worker whose queue would finish soonest with it
-// appended (greedy makespan minimization under the probe-seeded EWMAs).
-// Shards arrive in campaign order, so a worker's queue stays mostly
-// contiguous and adaptive coalescing can merge neighbors later.
-func (p *fleetPool) placeShards(shards []shardWork) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range shards {
-		var best *workerState
-		var bestCost float64
-		for _, w := range p.workers {
-			if w.health == server.WorkerDead {
-				continue
-			}
-			cost := (float64(w.queuedRuns() + s.runs)) * w.ewmaRunMs
-			if best == nil || cost < bestCost || (cost == bestCost && w.url < best.url) {
-				best, bestCost = w, cost
-			}
-		}
-		if best == nil {
-			// No live worker (the campaign was interrupted or failed before
-			// placement, or everyone died during it): park the shard. waitDone
-			// observes the terminal flag regardless.
-			p.orphans = append(p.orphans, s)
-		} else {
-			best.queue = append(best.queue, s)
-		}
-		p.runsRemaining += s.runs
-	}
-	p.cond.Broadcast()
-}
-
-// meanEwmaLocked is the pool-mean per-run latency over non-dead workers.
-func (p *fleetPool) meanEwmaLocked() float64 {
-	sum, n := 0.0, 0
-	for _, w := range p.workers {
-		if w.health == server.WorkerDead {
-			continue
-		}
-		sum += w.ewmaRunMs
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
-}
-
-// take blocks until the named worker has a shard to execute — from its own
-// queue (coalescing contiguous neighbors up to its adaptive size), then the
-// orphan backlog, then stolen from the victim with the costliest backlog —
-// or until the campaign completes or aborts (ok=false, and the loop exits).
+// take blocks until the shared queue has a shard for the named worker, or
+// until the campaign completes or aborts or the worker is dead (ok=false,
+// and the loop exits). An idle worker keeps waiting while others have
+// shards in flight: a death there puts work back on the queue.
 func (p *fleetPool) take(url string) (shardWork, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	self := p.workers[url]
 	for {
-		if p.failed != nil || p.interrupted || p.runsRemaining == 0 || self.health == server.WorkerDead {
+		if p.failed != nil || p.interrupted || p.doneLocked() || self.health == server.WorkerDead {
 			return shardWork{}, false
 		}
-		// Own queue first.
-		if len(self.queue) > 0 {
-			s := self.queue[0]
-			self.queue = self.queue[1:]
-			// Adaptive sizing: a worker k× faster than the pool mean may
-			// coalesce up to k base shards — when they are contiguous runs
-			// of one app — into one request. The merged id follows the same
-			// `<app>.<lo>.<hi>` content convention, so coalesced shards are
-			// as idempotent and journal-keyed as base ones.
-			factor := p.meanEwmaLocked() / self.ewmaRunMs
-			if factor > maxCoalesceFactor {
-				factor = maxCoalesceFactor
-			}
-			target := int(factor * float64(p.shardRuns))
-			for len(self.queue) > 0 && len(s.ranges) == 1 {
-				next := self.queue[0]
-				if len(next.ranges) != 1 || next.ranges[0].App != s.ranges[0].App ||
-					next.ranges[0].Lo != s.ranges[0].Hi || s.runs+next.runs > target ||
-					next.origin != s.origin {
-					break
-				}
-				s.ranges[0].Hi = next.ranges[0].Hi
-				s.runs += next.runs
-				s.id = fmt.Sprintf("%s.%d.%d", s.ranges[0].App, s.ranges[0].Lo, s.ranges[0].Hi)
-				self.queue = self.queue[1:]
-			}
-			self.inflight++
-			p.inflight++
-			return s, true
-		}
-		// Orphaned work next (registry mode: a previous owner died while no
-		// worker was live).
-		if len(p.orphans) > 0 {
-			s := p.orphans[0]
-			p.orphans = p.orphans[1:]
-			s.origin = "requeue"
-			self.inflight++
-			p.inflight++
-			return s, true
-		}
-		// Steal from the victim with the largest expected backlog, suspect
-		// workers first: their queue is the likeliest to strand. The thief
-		// takes from the back — the work its owner would reach last.
-		var victim *workerState
-		var victimCost float64
-		for _, w := range p.workers {
-			if w == self || len(w.queue) == 0 || w.health == server.WorkerDead {
-				continue
-			}
-			cost := w.backlogCostMs()
-			if w.health == server.WorkerSuspect {
-				cost *= 1 << 20 // suspect backlog outranks any healthy backlog
-			}
-			if victim == nil || cost > victimCost || (cost == victimCost && w.url < victim.url) {
-				victim, victimCost = w, cost
-			}
-		}
-		if victim != nil {
-			s := victim.queue[len(victim.queue)-1]
-			victim.queue = victim.queue[:len(victim.queue)-1]
-			s.origin = "steal"
-			p.stolen++
+		if len(p.queue) > 0 {
+			s := p.queue[0]
+			p.queue = p.queue[1:]
 			self.inflight++
 			p.inflight++
 			return s, true
@@ -291,39 +135,56 @@ func (p *fleetPool) take(url string) (shardWork, bool) {
 	}
 }
 
-// completed retires one executed shard, folds its latency into the worker's
-// EWMA, and restores the worker to live (a suspect that delivers is healthy
-// again).
-func (p *fleetPool) completed(url string, s shardWork, elapsed time.Duration) {
+// completed retires one executed shard and restores the worker to live (a
+// suspect that delivers is healthy again). A completed shard is what ends a
+// join grace: a plan probe proves nothing about a worker's shards.
+func (p *fleetPool) completed(url string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := p.workers[url]
-	obs := float64(elapsed) / float64(time.Millisecond) / float64(s.runs)
-	w.ewmaRunMs = ewmaAlpha*obs + (1-ewmaAlpha)*w.ewmaRunMs
 	w.health = server.WorkerLive
 	w.done++
 	w.inflight--
 	p.inflight--
-	p.runsRemaining -= s.runs
+	p.stopGraceLocked()
 	p.cond.Broadcast()
 }
 
-// markSuspect flags a worker whose current request needed a transient retry:
-// still live, but its queued work becomes the preferred steal target.
+func (p *fleetPool) stopGraceLocked() {
+	if p.graceTimer != nil {
+		p.graceTimer.Stop()
+		p.graceTimer = nil
+	}
+	p.graceExpired = false
+}
+
+// failGraceLocked fails the campaign with the grace diagnosis.
+func (p *fleetPool) failGraceLocked() {
+	if p.failed == nil && !p.interrupted && !p.doneLocked() {
+		p.failed = fmt.Errorf("all workers lost and none joined within %v to complete a shard (%d shards outstanding); last: %w",
+			p.joinGrace, len(p.queue), p.lastLoss)
+	}
+	p.cond.Broadcast()
+}
+
+// markSuspect flags a worker whose current request needed a transient
+// retry: still live, and reported as suspect until a shard succeeds.
 func (p *fleetPool) markSuspect(url string) {
 	p.mu.Lock()
 	if w := p.workers[url]; w != nil && w.health == server.WorkerLive {
 		w.health = server.WorkerSuspect
-		p.cond.Broadcast() // idle peers may now want to steal from it
 	}
 	p.mu.Unlock()
 }
 
-// workerDied removes a worker that exhausted its retry budget, requeueing
-// its in-flight shard and backlog. With live workers remaining the work is
-// redistributed immediately; with none, registry mode parks it for the next
-// joiner (failing after joinGrace), while static mode fails the campaign —
-// nobody can ever join a static fleet.
+// workerDied removes a worker that exhausted its retry budget and puts its
+// in-flight shard back at the front of the queue. If no worker is left, the
+// campaign gives the fleet joinGrace to complete a shard again: a worker
+// may (re)join meanwhile, but only a completed shard stops the timer, so a
+// worker that answers plan probes and fails every shard cannot keep the
+// campaign alive. Once the grace has expired, the campaign fails at once if
+// no worker is live, or else at the next worker death: a live worker may
+// still complete its shard, but a death shows the fleet is not recovering.
 func (p *fleetPool) workerDied(url string, s shardWork, cause error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -332,64 +193,37 @@ func (p *fleetPool) workerDied(url string, s shardWork, cause error) {
 	w.inflight--
 	p.inflight--
 	p.live--
-	rescued := append([]shardWork{s}, w.queue...)
-	w.queue = nil
-	p.requeued += len(rescued)
-	for i := range rescued {
-		rescued[i].origin = "requeue"
-	}
-	if p.live > 0 {
-		// Cheapest-backlog-first keeps the requeue from re-creating the
-		// imbalance that may have doomed the dead worker.
-		for _, rs := range rescued {
-			var best *workerState
-			var bestCost float64
-			for _, cand := range p.workers {
-				if cand.health == server.WorkerDead {
-					continue
-				}
-				cost := (float64(cand.queuedRuns() + rs.runs)) * cand.ewmaRunMs
-				if best == nil || cost < bestCost || (cost == bestCost && cand.url < best.url) {
-					best, bestCost = cand, cost
-				}
+	s.origin = "requeue"
+	p.queue = append([]shardWork{s}, p.queue...)
+	p.requeued++
+	p.lastLoss = cause
+	switch {
+	case p.graceExpired:
+		p.failGraceLocked()
+	case p.live == 0 && p.graceTimer == nil:
+		var t *time.Timer
+		t = time.AfterFunc(p.joinGrace, func() {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			if p.graceTimer != t {
+				return // a completed shard stopped this grace
 			}
-			best.queue = append(best.queue, rs)
-		}
-	} else {
-		p.orphans = append(p.orphans, rescued...)
-		if !p.registryMode {
-			if p.failed == nil {
-				p.failed = fmt.Errorf("all workers lost with %d shards outstanding; last: %w", len(p.orphans), cause)
+			p.graceTimer = nil
+			p.graceExpired = true
+			if p.live == 0 {
+				p.failGraceLocked()
 			}
-		} else if p.graceTimer == nil && p.failed == nil && !p.interrupted {
-			grace := p.joinGrace
-			p.graceTimer = time.AfterFunc(grace, func() {
-				p.mu.Lock()
-				if p.live == 0 && p.failed == nil && !p.interrupted && p.runsRemaining > 0 {
-					p.failed = fmt.Errorf("all workers lost and none joined within %v (%d shards outstanding); last: %w",
-						grace, len(p.orphans), cause)
-				}
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			})
-		}
+		})
+		p.graceTimer = t
 	}
 	p.cond.Broadcast()
 }
 
-// journaled records one merged cell key for progress accounting.
+// journaled records one merged cell key for progress accounting: a shard's
+// cell as it lands, or on resume a cell already in the journal.
 func (p *fleetPool) journaled(key string) {
 	p.mu.Lock()
 	p.doneKeys[key] = true
-	p.mu.Unlock()
-}
-
-// seedJournaled pre-marks cells already in the journal (resume).
-func (p *fleetPool) seedJournaled(keys []string) {
-	p.mu.Lock()
-	for _, k := range keys {
-		p.doneKeys[k] = true
-	}
 	p.mu.Unlock()
 }
 
@@ -415,17 +249,11 @@ func (p *fleetPool) interrupt() {
 func (p *fleetPool) waitDone() (failed error, interrupted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		terminal := p.failed != nil || p.interrupted || p.runsRemaining == 0
-		if terminal && p.inflight == 0 {
-			if p.graceTimer != nil {
-				p.graceTimer.Stop()
-				p.graceTimer = nil
-			}
-			return p.failed, p.interrupted
-		}
+	for !(p.failed != nil || p.interrupted || p.doneLocked()) || p.inflight > 0 {
 		p.cond.Wait()
 	}
+	p.stopGraceLocked()
+	return p.failed, p.interrupted
 }
 
 // snapshot renders the pool as the §7 progress resource.
@@ -437,7 +265,6 @@ func (p *fleetPool) snapshot() server.CampaignProgress {
 		Fingerprint:    p.fp,
 		CellsDone:      len(p.doneKeys),
 		CellsTotal:     p.cellsTotal,
-		ShardsStolen:   p.stolen,
 		ShardsRequeued: p.requeued,
 	}
 	for _, w := range p.workers {
@@ -445,9 +272,7 @@ func (p *fleetPool) snapshot() server.CampaignProgress {
 			URL:            w.url,
 			Health:         w.health,
 			ShardsDone:     w.done,
-			ShardsQueued:   len(w.queue),
 			ShardsInFlight: w.inflight,
-			LatencyEwmaMs:  w.ewmaRunMs,
 		})
 	}
 	return prog

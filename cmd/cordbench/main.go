@@ -173,24 +173,27 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	var workerURLs []string
-	if *workersFl != "" || *registryFl != "" {
-		if *shardRuns < 1 {
-			fmt.Fprintf(os.Stderr, "cordbench: -shard-runs must be at least 1, got %d\n", *shardRuns)
-			flag.Usage()
-			return 2
-		}
-	}
+	fleetClient := &http.Client{Timeout: fleetClientTimeout}
+	var resolveFleet func() ([]string, error)
 	if *workersFl != "" {
-		workerURLs, err = parseWorkers(*workersFl)
+		workerURLs, err := parseWorkers(*workersFl)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cordbench: %v\n", err)
 			flag.Usage()
 			return 2
 		}
+		resolveFleet = fixedFleet(workerURLs)
 	}
-	if *registryFl != "" && !strings.HasPrefix(*registryFl, "http://") && !strings.HasPrefix(*registryFl, "https://") {
-		fmt.Fprintf(os.Stderr, "cordbench: -registry must be an http(s) base URL, got %q\n", *registryFl)
+	if *registryFl != "" {
+		if !strings.HasPrefix(*registryFl, "http://") && !strings.HasPrefix(*registryFl, "https://") {
+			fmt.Fprintf(os.Stderr, "cordbench: -registry must be an http(s) base URL, got %q\n", *registryFl)
+			flag.Usage()
+			return 2
+		}
+		resolveFleet = registryFleet(fleetClient, strings.TrimRight(*registryFl, "/"))
+	}
+	if resolveFleet != nil && *shardRuns < 1 {
+		fmt.Fprintf(os.Stderr, "cordbench: -shard-runs must be at least 1, got %d\n", *shardRuns)
 		flag.Usage()
 		return 2
 	}
@@ -323,7 +326,7 @@ func run() int {
 	}
 
 	needDetection := *fig10 || *fig12 || *fig13 || *fig14 || *fig15 || *fig16 || *fig17
-	if needDetection && (len(workerURLs) > 0 || *registryFl != "") {
+	if needDetection && resolveFleet != nil {
 		// The journal is the fleet's merge point, so dispatch needs one even
 		// without -checkpoint; an ephemeral journal gives the same
 		// byte-identical aggregation, just without crash-safe resume.
@@ -344,14 +347,12 @@ func run() int {
 			}
 		}
 		cfg := fleetConfig{
-			Workers:      workerURLs,
-			Registry:     strings.TrimRight(*registryFl, "/"),
 			ShardRuns:    *shardRuns,
-			Client:       &http.Client{Timeout: fleetClientTimeout},
+			Client:       fleetClient,
 			Policy:       fleetRetryPolicy,
 			ProgressAddr: *progAddr,
 		}
-		if err := fleetDispatch(opts, cfg); err != nil {
+		if err := fleetDispatch(opts, resolveFleet, cfg); err != nil {
 			return errf(err)
 		}
 	}

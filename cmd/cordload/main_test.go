@@ -244,7 +244,7 @@ func TestWatchProgress(t *testing.T) {
 			done = 1
 		}
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"schema":1,"campaign":"bench-f","fingerprint":"f","cells_done":%d,"cells_total":3,"shards_stolen":1,"shards_requeued":0,"workers":[{"url":"http://a","health":"live","shards_done":2,"shards_queued":0,"shards_in_flight":1,"latency_ewma_ms":4.5}]}`, done)
+		fmt.Fprintf(w, `{"schema":1,"campaign":"bench-f","fingerprint":"f","cells_done":%d,"cells_total":3,"shards_requeued":0,"workers":[{"url":"http://a","health":"live","shards_done":2,"shards_in_flight":1}]}`, done)
 	}))
 	t.Cleanup(ts.Close)
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"path/filepath"
 	"testing"
 
@@ -125,20 +127,59 @@ func TestExecuteDetectShardIdempotent(t *testing.T) {
 
 // TestShardMergeEquivalence: the coordinator's merge path — append remote
 // cells to a journal, then run the unchanged campaign against it — produces
-// results deep-equal to a direct run, with every run a journal hit (nothing
-// re-simulated locally).
+// results byte-equal to a direct run, with every run a journal hit (nothing
+// re-simulated locally). Besides a fixed two-worker split, seeded cases cut
+// each app's run range at random points, group the pieces into shards of up
+// to three ranges, append some shards twice, and shuffle the append order:
+// any delivery schedule a coordinator can produce must merge to the same
+// artifact.
 func TestShardMergeEquivalence(t *testing.T) {
 	o := shardTestOptions(t)
 	direct, err := RunDetection(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, _ := json.Marshal(direct)
 
 	// Two shards split mid-app, as a two-worker dispatch would.
-	specs := []ShardSpec{
+	checkShardMerge(t, o, want, []ShardSpec{
 		{Ranges: []ShardRange{{App: "fft", Lo: 0, Hi: 4}, {App: "lu", Lo: 0, Hi: 2}}},
 		{Ranges: []ShardRange{{App: "lu", Lo: 2, Hi: 4}}},
+	})
+
+	injections := o.withDefaults().Injections
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		var pieces []ShardRange
+		for _, a := range o.Apps {
+			for lo := 0; lo < injections; {
+				hi := lo + 1 + rng.IntN(injections-lo)
+				pieces = append(pieces, ShardRange{App: a.Name, Lo: lo, Hi: hi})
+				lo = hi
+			}
+		}
+		rng.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
+		var specs []ShardSpec
+		for len(pieces) > 0 {
+			n := min(1+rng.IntN(3), len(pieces))
+			specs = append(specs, ShardSpec{Ranges: pieces[:n]})
+			pieces = pieces[n:]
+		}
+		for _, spec := range specs {
+			if rng.IntN(3) == 0 {
+				specs = append(specs, spec)
+			}
+		}
+		rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkShardMerge(t, o, want, specs) })
 	}
+}
+
+// checkShardMerge executes specs, appends their cells to a fresh journal in
+// order, and requires the journal-backed campaign to equal want byte for
+// byte with every run a journal hit.
+func checkShardMerge(t *testing.T, o Options, want []byte, specs []ShardSpec) {
+	t.Helper()
 	j, err := checkpoint.Open(filepath.Join(t.TempDir(), "merge.cordckpt"))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +188,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 	for _, spec := range specs {
 		cells, err := ExecuteDetectShard(o, spec)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("shard %+v: %v", spec.Ranges, err)
 		}
 		for _, c := range cells {
 			if err := j.Append(c.Key, c.Data); err != nil {
@@ -166,10 +207,9 @@ func TestShardMergeEquivalence(t *testing.T) {
 	if j.Hits() != wantRuns {
 		t.Fatalf("merged campaign hit the journal %d times, want %d (no local simulation)", j.Hits(), wantRuns)
 	}
-	a, _ := json.Marshal(direct)
-	b, _ := json.Marshal(res)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("merged results differ from direct run:\n direct %s\n merged %s", a, b)
+	got, _ := json.Marshal(res)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged results of %d shards differ from direct run:\n direct %s\n merged %s", len(specs), want, got)
 	}
 }
 

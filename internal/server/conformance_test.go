@@ -196,11 +196,10 @@ func TestProtocolConformance(t *testing.T) {
 			Fingerprint:    "976adcbc7ab77749",
 			CellsDone:      2,
 			CellsTotal:     3,
-			ShardsStolen:   1,
 			ShardsRequeued: 2,
 			Workers: []ProgressWorker{
-				{URL: "http://worker-b:8080", Health: WorkerDead, LatencyEwmaMs: 40},
-				{URL: "http://worker-a:8080", Health: WorkerLive, ShardsDone: 1, ShardsInFlight: 1, LatencyEwmaMs: 12.5},
+				{URL: "http://worker-b:8080", Health: WorkerDead},
+				{URL: "http://worker-a:8080", Health: WorkerLive, ShardsDone: 1, ShardsInFlight: 1},
 			},
 		}
 	}))

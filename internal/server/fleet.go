@@ -203,9 +203,9 @@ func (s *Server) handleFleetWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // Worker health classifications in CampaignProgress. A worker is live while
-// its requests succeed, suspect after a transient failure (its queued shards
-// are first in line to be stolen), and dead once the coordinator has given up
-// on it and requeued its work.
+// its requests succeed, suspect after a transient failure was retried (until
+// its next shard succeeds), and dead once the coordinator has given up on it
+// and requeued its in-flight shard.
 const (
 	WorkerLive    = "live"
 	WorkerSuspect = "suspect"
@@ -216,21 +216,17 @@ const (
 type ProgressWorker struct {
 	URL    string `json:"url"`
 	Health string `json:"health"` // "live", "suspect" or "dead"
-	// ShardsDone / ShardsQueued / ShardsInFlight partition the shards the
-	// coordinator currently attributes to this worker.
+	// ShardsDone / ShardsInFlight count the shards this worker has
+	// completed and is executing now.
 	ShardsDone     int `json:"shards_done"`
-	ShardsQueued   int `json:"shards_queued"`
 	ShardsInFlight int `json:"shards_in_flight"`
-	// LatencyEwmaMs is the coordinator's moving estimate of this worker's
-	// per-shard latency — the signal behind adaptive placement and stealing.
-	LatencyEwmaMs float64 `json:"latency_ewma_ms"`
 }
 
 // CampaignProgress is the GET /v1/campaign/progress body: one coordinator's
 // view of a running (or finished) distributed campaign. It is served by
 // cordbench, not cordd — the coordinator is the only party that knows
-// placement — but the shape lives here so every consumer (cordload -progress,
-// the smoke scripts, the §7 conformance example) shares it.
+// where shards run — but the shape lives here so every consumer (cordload
+// -progress, the smoke scripts, the §7 conformance example) shares it.
 type CampaignProgress struct {
 	Schema      int    `json:"schema"`
 	Campaign    string `json:"campaign"`
@@ -239,12 +235,9 @@ type CampaignProgress struct {
 	// the exactly-once unit of merge.
 	CellsDone  int `json:"cells_done"`
 	CellsTotal int `json:"cells_total"`
-	// ShardsStolen / ShardsRequeued count recovery actions so far: steals
-	// moved queued shards from slow or suspect workers to fast ones,
-	// requeues rescued shards from workers declared dead.
-	ShardsStolen   int `json:"shards_stolen"`
+	// ShardsRequeued counts shards rescued from workers declared dead.
 	ShardsRequeued int `json:"shards_requeued"`
-	// Workers lists per-worker assignment and health, sorted by URL.
+	// Workers lists per-worker counts and health, sorted by URL.
 	Workers []ProgressWorker `json:"workers"`
 }
 

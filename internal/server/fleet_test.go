@@ -305,8 +305,8 @@ func TestProgressHandler(t *testing.T) {
 			CellsDone:   3,
 			CellsTotal:  8,
 			Workers: []ProgressWorker{
-				{URL: "http://w2:8080", Health: WorkerLive, ShardsDone: 2, LatencyEwmaMs: 80},
-				{URL: "http://w1:8080", Health: WorkerSuspect, ShardsQueued: 1, LatencyEwmaMs: 120.5},
+				{URL: "http://w2:8080", Health: WorkerLive, ShardsDone: 2},
+				{URL: "http://w1:8080", Health: WorkerSuspect, ShardsInFlight: 1},
 			},
 		}
 	}

@@ -94,7 +94,7 @@ cmp -s bench/BENCH_fig12.json "$DIR/out/BENCH_fig12.json" \
 # worker) or, if it raced the finish line, at least as completed shards on
 # the survivors. Require the drop message unless the campaign had already
 # finished dispatching when the kill landed.
-if ! grep -q "re-sharding" "$DIR/dispatch.log"; then
+if ! grep -q "requeueing" "$DIR/dispatch.log"; then
 	echo "fleet-smoke: note: the victim died with no shard in flight (no re-shard needed)"
 fi
 
